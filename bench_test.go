@@ -291,15 +291,16 @@ func BenchmarkEngineBatchSweep(b *testing.B) {
 
 // BenchmarkStreamReplay measures the trace replay path end to end on a
 // recorded d=3 trace: "read" is pure framing (parse + CRC, no decode),
-// "serial" adds single-threaded FrameDecoder scoring on top of it,
-// "pipeline" is the production stream.Replay worker pipeline, and
-// "windowed" decodes the same frames through a sliding 3-round window,
-// timing every IngestRound, and "estimator" is the pipeline with the drift
-// monitor enabled. CI asserts the pipeline does not regress below the
-// serial baseline, that the windowed per-round p99 latency stays under
-// budget, and that the estimator costs at most a bounded fraction of
-// pipeline throughput (scripts/bench_mc.sh, BENCH_stream.json); frames/s
-// is the throughput trajectory number.
+// "serial" adds single-threaded FrameDecoder scoring on top of it as a
+// hand-written loop, "pipeline" is the production stream.Replay serial loop
+// over the same frames (metrics, span, cancellation checks), "windowed"
+// decodes the same frames through a sliding 3-round window, timing every
+// IngestRound, and "estimator" is Replay with the drift monitor enabled.
+// CI asserts Replay's bookkeeping costs next to nothing over the bare
+// serial loop, that the windowed per-round p99 latency stays under budget,
+// and that the estimator costs at most a bounded fraction of Replay
+// throughput (scripts/bench_mc.sh, BENCH_stream.json); frames/s is the
+// throughput trajectory number.
 func BenchmarkStreamReplay(b *testing.B) {
 	p := memoryCircuit(b, 3)
 	c, err := p.MemoryCircuit(code.MemoryOptions{Rounds: 3, Basis: lattice.BasisZ, Noise: code.UniformNoise(3e-3)})

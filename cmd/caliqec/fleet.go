@@ -45,7 +45,7 @@ func parseTenantWeights(s string) (map[uint32]int, error) {
 
 // fleetServeFlags bundles the serve flags that configure the shared pool.
 type fleetServeFlags struct {
-	on            *bool
+	shed          *bool
 	workers       *int
 	streamQueue   *int
 	quantum       *int
@@ -57,13 +57,13 @@ type fleetServeFlags struct {
 
 func addFleetFlags(fs *flag.FlagSet) fleetServeFlags {
 	return fleetServeFlags{
-		on:            fs.Bool("fleet", false, "decode all connections through one shared multi-tenant worker pool (admission control + fair scheduling) instead of a per-connection pipeline"),
-		workers:       fs.Int("fleet-workers", 0, "shared pool size when -fleet is set (0 = GOMAXPROCS); this is the whole server's decode concurrency"),
-		streamQueue:   fs.Int("stream-queue", 0, "per-stream admitted-frame queue bound when -fleet is set (0 = 256); a full queue sheds instead of stalling the socket"),
-		quantum:       fs.Int("quantum", 0, "deficit-round-robin quantum in frames when -fleet is set (0 = 64)"),
-		tenantRate:    fs.Float64("tenant-rate", 0, "default per-tenant admitted-frame budget in frames/s (0 = unmetered)"),
+		shed:          fs.Bool("fleet", false, "shed frames a full stream queue cannot take and report them in the summary, instead of stalling the sender through TCP flow control"),
+		workers:       fs.Int("fleet-workers", 0, "shared decode pool size (0 = GOMAXPROCS); this is the whole server's decode concurrency"),
+		streamQueue:   fs.Int("stream-queue", 0, "per-stream admitted-frame queue bound (0 = 256)"),
+		quantum:       fs.Int("quantum", 0, "deficit-round-robin quantum in frames (0 = 64)"),
+		tenantRate:    fs.Float64("tenant-rate", 0, "default per-tenant admitted-frame budget in frames/s (0 = unmetered); over-rate frames shed even without -fleet"),
 		tenantBurst:   fs.Float64("tenant-burst", 0, "default per-tenant token-bucket burst in frames (0 = one second of -tenant-rate)"),
-		tenantStreams: fs.Int("tenant-streams", 0, "default per-tenant concurrent-stream cap (0 = uncapped)"),
+		tenantStreams: fs.Int("tenant-streams", 0, "default per-tenant concurrent-stream cap (0 = uncapped); over-cap streams are refused"),
 		tenantWeights: fs.String("tenant-weights", "", "per-tenant scheduling weights as id:weight[,id:weight...]; unlisted tenants weigh 1"),
 	}
 }
@@ -84,6 +84,7 @@ func (ff fleetServeFlags) config(est stream.EstimatorConfig) (fleet.Config, erro
 		Workers:     *ff.workers,
 		StreamQueue: *ff.streamQueue,
 		Quantum:     *ff.quantum,
+		Block:       !*ff.shed,
 		Default:     def,
 		Estimator:   est,
 	}
@@ -262,24 +263,66 @@ func cmdLoadgen(args []string) error {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// Aggregate per tenant and across the run.
-	type tenantAgg struct {
-		streams, ok, overload, failed int
-		admitted, shed                int64
+	v := judgeLoad(results, *frames, wmap, *sloP99)
+	fmt.Printf("%-8s %8s %6s %9s %6s %12s %12s %9s %9s\n",
+		"tenant", "streams", "ok", "overload", "fail", "admitted", "shed", "share", "weight")
+	for _, tr := range v.tenants {
+		fmt.Printf("%-8d %8d %6d %9d %6d %12d %12d %8.1f%% %8.1f%%\n",
+			tr.id, tr.streams, tr.ok, tr.overload, tr.failed, tr.admitted, tr.shed, 100*tr.share, 100*tr.weightShare)
 	}
-	aggs := map[uint32]*tenantAgg{}
-	var lats []time.Duration
+	fmt.Printf("\n%d streams in %v: %d frames admitted, %d shed, %.0f frames/s; latency p50 %v p99 %v\n",
+		*streams, elapsed.Round(time.Millisecond), v.admitted, v.shed,
+		float64(v.admitted)/elapsed.Seconds(), v.p50.Round(time.Millisecond), v.p99.Round(time.Millisecond))
+	if len(v.violations) > 0 {
+		return fmt.Errorf("loadgen violations:\n  %s", strings.Join(v.violations, "\n  "))
+	}
+	fmt.Println("loadgen ok: zero unexplained loss, no stalled streams" + map[bool]string{true: ", fairness within the 2x band", false: ""}[v.shed > 0])
+	return nil
+}
+
+// tenantLoad is one tenant's row of a loadgen verdict.
+type tenantLoad struct {
+	id                            uint32
+	streams, ok, overload, failed int
+	admitted, shed                int64
+	// share is the tenant's fraction of all admitted frames; weightShare
+	// its scheduling weight over the sum of the weights seen in the run.
+	share, weightShare float64
+}
+
+// loadVerdict is loadgen's judgement of one run.
+type loadVerdict struct {
+	tenants        []tenantLoad // sorted by tenant id
+	admitted, shed int64
+	p50, p99       time.Duration
+	violations     []string
+}
+
+// judgeLoad checks a run's per-stream results against the fleet contracts,
+// each sending frames frames: no stream failed hard; every stream's
+// admitted + shed equals what it sent (zero unexplained loss); under
+// shedding, every tenant's admitted share lies within 2x of its weight
+// share (weights maps tenant to weight; unlisted tenants weigh 1); and the
+// p99 stream round-trip is within sloP99 when that is positive. Fairness is
+// judged only when something shed: with nothing shed every tenant keeps all
+// it sent, so shares track offered load, not scheduler weights.
+func judgeLoad(results []loadResult, frames int, weights map[uint32]int, sloP99 time.Duration) loadVerdict {
+	var v loadVerdict
+	byID := map[uint32]*tenantLoad{}
+	lats := make([]time.Duration, 0, len(results))
 	var hardErrs, lossErrs []string
+	failed := 0
 	for i, res := range results {
-		a := aggs[res.tenant]
+		a := byID[res.tenant]
 		if a == nil {
-			a = &tenantAgg{}
-			aggs[res.tenant] = a
+			a = &tenantLoad{id: res.tenant}
+			byID[res.tenant] = a
 		}
 		a.streams++
 		lats = append(lats, res.latency)
 		if res.err != nil {
 			a.failed++
+			failed++
 			if len(hardErrs) < 5 {
 				hardErrs = append(hardErrs, fmt.Sprintf("stream %d (tenant %d): %v", i, res.tenant, res.err))
 			}
@@ -292,13 +335,11 @@ func cmdLoadgen(args []string) error {
 		}
 		a.admitted += int64(res.sum.Frames)
 		a.shed += res.sum.Shed
-		// The zero-unexplained-loss contract: admitted + shed covers every
-		// frame the stream sent.
-		if got := int64(res.sum.Frames) + res.sum.Shed; got != int64(*frames) {
-			if len(lossErrs) < 5 {
-				lossErrs = append(lossErrs, fmt.Sprintf("stream %d (tenant %d): %d admitted + %d shed != %d sent",
-					i, res.tenant, res.sum.Frames, res.sum.Shed, *frames))
-			}
+		v.admitted += int64(res.sum.Frames)
+		v.shed += res.sum.Shed
+		if got := int64(res.sum.Frames) + res.sum.Shed; got != int64(frames) && len(lossErrs) < 5 {
+			lossErrs = append(lossErrs, fmt.Sprintf("stream %d (tenant %d): %d admitted + %d shed != %d sent",
+				i, res.tenant, res.sum.Frames, res.sum.Shed, frames))
 		}
 	}
 
@@ -316,68 +357,43 @@ func cmdLoadgen(args []string) error {
 		}
 		return lats[k]
 	}
-	p50, p99 := pctl(0.50), pctl(0.99)
+	v.p50, v.p99 = pctl(0.50), pctl(0.99)
 
-	var ids []uint32
-	var totAdmitted, totShed int64
-	failed := 0
-	for id, a := range aggs {
-		ids = append(ids, id)
-		totAdmitted += a.admitted
-		totShed += a.shed
-		failed += a.failed
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	weightOf := func(id uint32) int {
-		if w, ok := wmap[id]; ok {
+		if w, ok := weights[id]; ok {
 			return w
 		}
 		return 1
 	}
 	sumW := 0
-	for _, id := range ids {
+	for id := range byID {
 		sumW += weightOf(id)
 	}
-
-	fmt.Printf("%-8s %8s %6s %9s %6s %12s %12s %9s %9s\n",
-		"tenant", "streams", "ok", "overload", "fail", "admitted", "shed", "share", "weight")
 	var fairErrs []string
-	for _, id := range ids {
-		a := aggs[id]
-		share, expect := 0.0, float64(weightOf(id))/float64(sumW)
-		if totAdmitted > 0 {
-			share = float64(a.admitted) / float64(totAdmitted)
+	for _, a := range byID {
+		a.weightShare = float64(weightOf(a.id)) / float64(sumW)
+		if v.admitted > 0 {
+			a.share = float64(a.admitted) / float64(v.admitted)
 		}
-		fmt.Printf("%-8d %8d %6d %9d %6d %12d %12d %8.1f%% %8.1f%%\n",
-			id, a.streams, a.ok, a.overload, a.failed, a.admitted, a.shed, 100*share, 100*expect)
-		// Fairness only binds under contention: with nothing shed anywhere,
-		// every tenant keeps 100% of what it sent and shares track offered
-		// load, not scheduler weights.
-		if totShed > 0 && totAdmitted > 0 {
-			if share < expect/2-1e-9 || share > 2*expect+1e-9 {
-				fairErrs = append(fairErrs, fmt.Sprintf(
-					"tenant %d admitted share %.1f%% outside the 2x band of its %.1f%% weight share", id, 100*share, 100*expect))
-			}
+		v.tenants = append(v.tenants, *a)
+	}
+	sort.Slice(v.tenants, func(i, j int) bool { return v.tenants[i].id < v.tenants[j].id })
+	for _, a := range v.tenants {
+		if v.shed > 0 && v.admitted > 0 && (a.share < a.weightShare/2-1e-9 || a.share > 2*a.weightShare+1e-9) {
+			fairErrs = append(fairErrs, fmt.Sprintf(
+				"tenant %d admitted share %.1f%% outside the 2x band of its %.1f%% weight share", a.id, 100*a.share, 100*a.weightShare))
 		}
 	}
-	fmt.Printf("\n%d streams in %v: %d frames admitted, %d shed, %.0f frames/s; latency p50 %v p99 %v\n",
-		*streams, elapsed.Round(time.Millisecond), totAdmitted, totShed,
-		float64(totAdmitted)/elapsed.Seconds(), p50.Round(time.Millisecond), p99.Round(time.Millisecond))
 
-	var viol []string
 	if failed > 0 {
-		viol = append(viol, fmt.Sprintf("%d streams failed hard (first: %s)", failed, strings.Join(hardErrs, "; ")))
+		v.violations = append(v.violations, fmt.Sprintf("%d streams failed hard (first: %s)", failed, strings.Join(hardErrs, "; ")))
 	}
 	if len(lossErrs) > 0 {
-		viol = append(viol, "unexplained frame loss: "+strings.Join(lossErrs, "; "))
+		v.violations = append(v.violations, "unexplained frame loss: "+strings.Join(lossErrs, "; "))
 	}
-	viol = append(viol, fairErrs...)
-	if *sloP99 > 0 && p99 > *sloP99 {
-		viol = append(viol, fmt.Sprintf("p99 latency %v exceeds the %v SLO", p99.Round(time.Millisecond), *sloP99))
+	v.violations = append(v.violations, fairErrs...)
+	if sloP99 > 0 && v.p99 > sloP99 {
+		v.violations = append(v.violations, fmt.Sprintf("p99 latency %v exceeds the %v SLO", v.p99.Round(time.Millisecond), sloP99))
 	}
-	if len(viol) > 0 {
-		return fmt.Errorf("loadgen violations:\n  %s", strings.Join(viol, "\n  "))
-	}
-	fmt.Println("loadgen ok: zero unexplained loss, no stalled streams" + map[bool]string{true: ", fairness within the 2x band", false: ""}[totShed > 0])
-	return nil
+	return v
 }

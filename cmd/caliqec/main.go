@@ -8,8 +8,8 @@
 //	caliqec simulate     -d 3,5,7 -p 2e-3 -shots 20000   Monte-Carlo LER sweep (batched)
 //	caliqec record       -d 3 -shots 20000 -o t.bin  persist a syndrome trace
 //	caliqec replay       -d 3 -check t.bin           decode a trace (optionally verify)
-//	caliqec serve        -addr :8790 -d 3,5          live-decode TCP syndrome streams
-//	caliqec serve        -fleet -tenant-rate 5e4     multi-tenant shared-pool decode fleet
+//	caliqec serve        -addr :8790 -d 3,5          live-decode TCP streams on a shared pool
+//	caliqec serve        -fleet -tenant-rate 5e4     … shedding instead of stalling when full
 //	caliqec loadgen      -streams 256 -tenants 4     drive a fleet and check its SLOs
 //	caliqec health       -addr 127.0.0.1:8791        poll a replay/serve drift-health endpoint
 //	caliqec vet          -d 3                        static IR + deformation-log checks

@@ -18,7 +18,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	goruntime "runtime"
 	"syscall"
 )
 
@@ -94,8 +93,6 @@ func cmdReplay(args []string) (err error) {
 	d := fs.Int("d", 3, "code distance the trace was recorded at")
 	p := fs.Float64("p", 1e-3, "physical error rate the trace was recorded at")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default: the distance)")
-	workers := fs.Int("workers", 0, "decode worker fan-out (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "frame queue depth between reader and workers (0 = default)")
 	window := fs.Int("window", 0, "decode through a sliding round window of this many rounds (0 = whole-shot); resident decode state is O(window)")
 	check := fs.Bool("check", false, "re-run the in-process evaluation from the trace's seed metadata and fail on any count mismatch")
 	to := fs.String("to", "", "stream the trace to a caliqec serve instance at this TCP address instead of decoding locally")
@@ -181,7 +178,7 @@ func cmdReplay(args []string) (err error) {
 		}
 		scorer = fd
 	}
-	stats, rerr := stream.Replay(ctx, tr, scorer, stream.PipelineOptions{Workers: *workers, QueueDepth: *queue, Estimator: est})
+	stats, rerr := stream.Replay(ctx, tr, scorer, stream.PipelineOptions{Estimator: est})
 	if rerr != nil && !errors.Is(rerr, stream.ErrTruncated) {
 		return rerr
 	}
@@ -237,8 +234,6 @@ func cmdServe(args []string) (err error) {
 	p := fs.Float64("p", 1e-3, "physical error rate of the served decoding graphs")
 	rounds := fs.Int("rounds", 0, "QEC rounds (default: the distance)")
 	addr := fs.String("addr", "127.0.0.1:8790", "TCP listen address")
-	workers := fs.Int("workers", 0, "decode worker fan-out per stream (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "frame queue depth per stream (0 = default)")
 	window := fs.Int("window", 0, "serve sliding-window decoders with this round window (0 = whole-shot); traces recording a different rounds/shot are rejected")
 	ff := addFleetFlags(fs)
 	oc := addObsFlags(fs)
@@ -303,19 +298,16 @@ func cmdServe(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	if *ff.on {
-		cfg, err := ff.config(est)
-		if err != nil {
-			return err
-		}
-		nw := cfg.Workers
-		if nw <= 0 {
-			nw = goruntime.GOMAXPROCS(0)
-		}
-		fmt.Printf("listening on %s (%d circuits, fleet pool of %d workers); Ctrl-C drains and exits\n",
-			ln.Addr(), cat.Len(), nw)
-		return fleet.NewServer(cfg, cat.Resolve).Serve(ctx, ln)
+	cfg, err := ff.config(est)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("listening on %s (%d circuits); Ctrl-C drains and exits\n", ln.Addr(), cat.Len())
-	return stream.NewServer(cat.Resolve, stream.PipelineOptions{Workers: *workers, QueueDepth: *queue, Estimator: est}).Serve(ctx, ln)
+	srv := fleet.NewServer(cfg, cat.Resolve)
+	backpressure := "stalls the sender"
+	if !cfg.Block {
+		backpressure = "sheds"
+	}
+	fmt.Printf("listening on %s (%d circuits, pool of %d workers; a full stream queue %s); Ctrl-C drains and exits\n",
+		ln.Addr(), cat.Len(), srv.Pool().Workers(), backpressure)
+	return srv.Serve(ctx, ln)
 }

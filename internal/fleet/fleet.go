@@ -1,12 +1,11 @@
 // Package fleet multiplexes many concurrent syndrome streams over one
 // shared, size-bounded decode worker pool with per-tenant admission control
-// and fair scheduling — the multi-tenant shape of the stream subsystem.
+// and fair scheduling. It is the repository's only concurrent decode
+// executor: `caliqec serve` always runs a fleet Server, and stream.Replay
+// is the serial loop for a single local trace.
 //
-// stream.Server decodes each connection through its own pipeline: N
-// connections cost N×Workers goroutines and give the fastest sender the
-// whole box. A fleet server instead runs one fixed pool (Config.Workers
-// goroutines, the mc.EvaluateBatch span-granular scheduler pattern) and
-// routes every connection's frames through it:
+// One fixed pool (Config.Workers goroutines, the mc.EvaluateBatch
+// span-granular scheduler pattern) decodes every connection's frames:
 //
 //   - Admission control. Each stream declares a tenant in its trace header
 //     (Header.Tenant; 0 is the default tenant). A tenant's token bucket
@@ -21,11 +20,14 @@
 //     tenant's long-run share of the pool tracks its weight no matter how
 //     many streams or frames it throws at the server, and a worker stays on
 //     one stream's scorer long enough for its decoder caches to stay warm.
-//   - Graceful backpressure. Stream.Offer never blocks: a full stream queue
-//     sheds the frame and counts it. The connection read loop therefore
-//     never stalls the socket, and a client learns about shedding from the
-//     summary's Shed count and Overload flag (stream.ErrOverload
-//     client-side) instead of from a TCP stall.
+//   - Backpressure: shed or stall. By default Stream.Offer never blocks: a
+//     full stream queue sheds the frame and counts it, the connection read
+//     loop never stalls the socket, and a client learns about shedding from
+//     the summary's Shed count and Overload flag (stream.ErrOverload
+//     client-side) instead of from a TCP stall. With Config.Block a full
+//     queue makes Offer wait for room instead, which stalls the read and
+//     pushes back to the sender through TCP flow control; token-bucket and
+//     MaxStreams refusals still shed.
 //
 // Per-tenant observability lands in the shared obs.Registry:
 // fleet.tenant.<id>.admitted / .shed counters, .queue.depth gauge and
@@ -80,9 +82,13 @@ type Config struct {
 	// is the whole server's decode concurrency, shared by every stream.
 	Workers int
 	// StreamQueue bounds each stream's admitted-frame queue; <= 0 selects
-	// 256. A full queue sheds new frames (drop + count) instead of blocking
-	// the connection read.
+	// 256. A full queue sheds new frames (drop + count) unless Block is set.
 	StreamQueue int
+	// Block makes Stream.Offer wait for room in a full stream queue instead
+	// of shedding, so a fast sender is held back rather than dropped. The
+	// wait ends when a worker claims from the queue or the pool closes.
+	// Token-bucket and MaxStreams refusals still shed.
+	Block bool
 	// Quantum is the deficit-round-robin quantum in frames; <= 0 selects 64.
 	// Each scheduler visit grants a tenant Quantum×Weight decode credits.
 	Quantum int

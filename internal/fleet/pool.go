@@ -149,6 +149,7 @@ func (p *Pool) Open(h stream.Header, scorer stream.FrameScorer, name string) (*S
 		t:      t,
 		scorer: scorer,
 		name:   name,
+		room:   sync.NewCond(&p.mu),
 		done:   make(chan struct{}),
 	}
 	s.bufs.New = func() interface{} { return make([]byte, fbytes) }
@@ -162,10 +163,18 @@ func (p *Pool) Open(h stream.Header, scorer stream.FrameScorer, name string) (*S
 }
 
 // Close stops admission, lets the workers drain every queued frame, and
-// joins them. Streams still waiting on Done are completed by the drain.
+// joins them. Streams still waiting on Done are completed by the drain, and
+// an Offer blocked on a full queue returns false.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
+	// A blocked Offer's queue is full, so its stream is runnable and its
+	// tenant in the ring: this reaches every one.
+	for _, t := range p.ring {
+		for _, s := range t.runnable {
+			s.room.Broadcast()
+		}
+	}
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.wg.Wait()
@@ -251,6 +260,7 @@ func (p *Pool) claimLocked(span []frame) (*Stream, []frame) {
 	}
 	span = append(span[:0], s.queue[s.head:s.head+n]...)
 	s.head += n
+	s.room.Signal()
 	s.inflight += n
 	t.deficit -= n
 	t.queued -= n
@@ -304,6 +314,7 @@ type Stream struct {
 	mon    *stream.Monitor
 	name   string
 	bufs   sync.Pool
+	room   *sync.Cond // on p.mu; a claim freed queue space or the pool closed
 
 	done chan struct{}
 
@@ -324,18 +335,29 @@ type Stream struct {
 // Name returns the server-assigned stream name.
 func (s *Stream) Name() string { return s.name }
 
-// Offer submits one frame and never blocks: it reports false — and counts
-// the shed — when the stream's queue is full, the tenant's token bucket is
-// empty, the stream is half-closed, or the pool has shut down. packed is
-// copied; the caller keeps ownership.
+// Offer submits one frame. It reports false — and counts the shed — when
+// the tenant's token bucket is empty, the stream is half-closed, or the pool
+// has shut down. A full stream queue sheds too, unless Config.Block is set:
+// then Offer waits until a worker claims from the queue (or the pool closes)
+// — the only case in which it blocks. packed is copied; the caller keeps
+// ownership.
 func (s *Stream) Offer(packed []byte, obsMask uint64) bool {
 	p := s.p
 	p.mu.Lock()
+	for p.cfg.Block && !p.closed && len(s.queue)-s.head >= p.queueCap {
+		s.room.Wait()
+	}
 	if s.eof || p.closed || len(s.queue)-s.head >= p.queueCap || !s.t.bucket.take(p.now()) {
 		s.shed++
 		p.mu.Unlock()
 		s.t.shed.Inc()
 		return false
+	}
+	if s.head > 0 && len(s.queue) == cap(s.queue) {
+		// A queue that never fully drains would otherwise grow its backing
+		// array with every frame; slide the live frames to the front.
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
+		s.head = 0
 	}
 	buf := s.bufs.Get().([]byte)
 	copy(buf, packed)

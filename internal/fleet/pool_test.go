@@ -204,6 +204,98 @@ func TestOfferShedsNeverBlocks(t *testing.T) {
 	}
 }
 
+// TestOfferBlockWaitsForRoom is the stall-mode contract (Config.Block):
+// with the worker wedged, a full stream queue holds the producer back
+// instead of shedding, every frame is admitted once decoding resumes, and a
+// blocked Offer returns (shedding) when the pool closes.
+func TestOfferBlockWaitsForRoom(t *testing.T) {
+	const queue, n = 4, 32
+	cfg := fleet.Config{Workers: 1, StreamQueue: queue, Quantum: 1, Block: true, Metrics: obs.Discard}
+	packed := make([]byte, 2)
+
+	g := &gatedScorer{gate: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(g.gate) })
+	p := fleet.NewPool(cfg)
+	defer p.Close()
+	defer release() // a failed assertion must not leave Close waiting on the gate
+	st, err := p.Open(testHeader(16, 0), g, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var returned atomic.Int64
+	done := make(chan int, 1)
+	go func() {
+		admitted := 0
+		for i := 0; i < n; i++ {
+			if st.Offer(packed, uint64(i&1)) {
+				admitted++
+			}
+			returned.Add(1)
+		}
+		done <- admitted
+	}()
+	// The worker parks on frame 0 (quantum 1 → span of 1) and the queue
+	// fills behind it; the next Offer must wait, not shed.
+	waitFor(t, func() bool { return g.entered.Load() == 1 && returned.Load() == 1+queue })
+	time.Sleep(50 * time.Millisecond)
+	if got := returned.Load(); got != 1+queue {
+		t.Fatalf("%d Offers returned with the queue full, want %d (the rest must wait)", got, 1+queue)
+	}
+	release()
+	if admitted := <-done; admitted != n {
+		t.Fatalf("admitted %d of %d frames in stall mode", admitted, n)
+	}
+	st.CloseSend()
+	<-st.Done()
+	stats := st.Stats()
+	st.Close()
+	if stats.Admitted != n || stats.Shed != 0 || g.scored.Load() != n {
+		t.Fatalf("admitted=%d shed=%d scored=%d, want %d/0/%d", stats.Admitted, stats.Shed, g.scored.Load(), n, n)
+	}
+
+	// Pool.Close wakes an Offer blocked on a full queue.
+	g2 := &gatedScorer{gate: make(chan struct{})}
+	release2 := sync.OnceFunc(func() { close(g2.gate) })
+	defer release2()
+	p2 := fleet.NewPool(cfg)
+	st, err = p2.Open(testHeader(16, 0), g2, "s2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1+queue; i++ {
+		if !st.Offer(packed, 0) {
+			t.Fatalf("frame %d shed below queue capacity", i)
+		}
+		if i == 0 {
+			waitFor(t, func() bool { return g2.entered.Load() == 1 })
+		}
+	}
+	blocked := make(chan bool, 1)
+	go func() { blocked <- st.Offer(packed, 0) }()
+	time.Sleep(20 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		p2.Close()
+	}()
+	select {
+	case ok := <-blocked:
+		if ok {
+			t.Fatal("Offer admitted a frame into a closed pool")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked Offer did not return on Pool.Close")
+	}
+	release2()
+	<-closed
+	st.CloseSend()
+	<-st.Done()
+	if stats := st.Stats(); stats.Admitted != 1+queue || stats.Shed != 1 {
+		t.Fatalf("admitted=%d shed=%d, want %d/1", stats.Admitted, stats.Shed, 1+queue)
+	}
+	st.Close()
+}
+
 // TestMaxStreamsCap: the per-tenant concurrent-stream cap refuses the
 // overflow stream with ErrOverload and frees the slot on Close.
 func TestMaxStreamsCap(t *testing.T) {

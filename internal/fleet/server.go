@@ -14,13 +14,15 @@ import (
 	"caliqec/internal/stream"
 )
 
-// Server ingests trace streams over any net.Listener — the same wire
-// protocol as stream.Server (header + frames in, one JSON Summary line
-// out) — but decodes every connection through one shared Pool instead of a
-// per-connection pipeline. The trace header's Tenant field selects the
-// admission and scheduling policy; shedding is reported in the summary
-// (Shed count, Overload flag), never by stalling the socket: the read loop
-// keeps consuming frames even when all of them shed.
+// Server ingests trace streams over any net.Listener and decodes every
+// connection through one shared Pool. The protocol is the trace format
+// itself: a client streams header plus frames, half-closes its write side,
+// and receives one JSON stream.Summary line. The trace header's Tenant field
+// selects the admission and scheduling policy. Backpressure follows
+// Config.Block: by default shedding is reported in the summary (Shed count,
+// Overload flag) and the read loop keeps consuming frames even when all of
+// them shed; with Block a full stream queue stalls the read instead, which
+// TCP flow control carries back to the sender.
 type Server struct {
 	pool    *Pool
 	resolve func(stream.Header) (stream.FrameScorer, error)
@@ -91,8 +93,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // handleConn reads one connection's frames into the pool and writes the
-// summary. The loop never blocks on the pool — Offer sheds instead — so a
-// slow or saturated pool cannot stall the socket or the accept path.
+// summary. Unless Config.Block is set the loop never blocks on the pool —
+// Offer sheds instead — so a slow or saturated pool cannot stall the socket.
+// A blocked Offer returns once a worker claims from the stream's queue, so
+// cancellation still ends the loop after a bounded amount of decoding.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })

@@ -16,11 +16,11 @@
 //     mc.Evaluate would sample, making a trace a correctness oracle: a
 //     replay must reproduce the in-process evaluation's logical failure
 //     count bit-identically.
-//   - A replay/live-decode pipeline (pipeline.go) and TCP ingestion server
-//     (server.go) that feed any io.Reader — file, pipe, network — through
-//     the mc engine's cached decoding graph and pooled decoders with
-//     bounded queues, worker fan-out, per-stream metrics and spans, and
-//     context-cancellable draining shutdown.
+//   - A serial replay loop (pipeline.go) that feeds any io.Reader — file,
+//     pipe, network — through the mc engine's cached decoding graph and
+//     pooled decoders with per-stream metrics, spans, drift monitoring and
+//     context cancellation, plus the live-decode wire contract (server.go:
+//     Catalog, Summary, SendTrace) that fleet.Server speaks.
 //
 // Wire format (all integers little-endian):
 //

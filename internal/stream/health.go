@@ -9,8 +9,8 @@ import (
 	"sync"
 )
 
-// EstimatorConfig configures the per-stream drift monitor the replay
-// pipeline feeds. The zero value disables monitoring; setting Window (frames
+// EstimatorConfig configures the per-stream drift monitor that Replay and
+// the fleet pool feed. The zero value disables monitoring; setting Window (frames
 // per estimator window) enables it with defaults for everything else.
 //
 // Determinism contract: with a fixed config, the same trace produces the
@@ -185,8 +185,8 @@ type Monitor struct {
 // do); otherwise drifting detectors report qubit and round -1. Metrics land
 // in reg (nil selects obs.Default; obs.Discard disables them, including the
 // estimator-update latency timing). Replay constructs one per stream when
-// PipelineOptions.Estimator.Window > 0; construct directly only to feed
-// frames outside the pipeline.
+// PipelineOptions.Estimator.Window > 0, and the fleet pool one per admitted
+// stream; construct directly only to feed frames from elsewhere.
 func NewMonitor(cfg EstimatorConfig, scorer FrameScorer, h Header, reg *obs.Registry) *Monitor {
 	cfg = cfg.resolved()
 	if reg == nil {
@@ -278,8 +278,8 @@ func (m *Monitor) Observe(idx int64, syndrome []int, failed bool) {
 		}
 	}
 	// Finalize every completed window in ascending order. Windows beyond a
-	// still-incomplete one wait in their buckets (the pipeline's bounded
-	// queue bounds how many), preserving the deterministic event order.
+	// still-incomplete one wait in their buckets (the fleet pool's bounded
+	// stream queue bounds how many), preserving the deterministic event order.
 	for {
 		nb := m.buckets[m.next]
 		if nb == nil || nb.frames < m.cfg.Window {
@@ -295,7 +295,7 @@ func (m *Monitor) Observe(idx int64, syndrome []int, failed bool) {
 // Finalize flushes the monitor's pending partial windows: every bucket still
 // waiting for frames is finalized with its actual frame count as the rate
 // denominator, in ascending window order. Call it once the stream has ended
-// (Replay does, after the workers drain) so drift in a final partial window
+// (Replay does after its last frame, the fleet pool when a stream closes) so drift in a final partial window
 // still produces events and the health snapshot reflects every observed
 // frame; without it, up to Window-1 trailing frames would never reach the
 // estimators. Further Observe calls after Finalize open new windows past the

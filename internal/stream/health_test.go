@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"caliqec/internal/fleet"
 	"caliqec/internal/obs"
 	"caliqec/internal/stream"
 )
@@ -83,7 +84,7 @@ func TestMonitorDetectsDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	health := stream.NewHealthRegistry()
-	opt := stream.PipelineOptions{Workers: 2, Metrics: obs.Discard, Estimator: testEstimator(window)}
+	opt := stream.PipelineOptions{Metrics: obs.Discard, Estimator: testEstimator(window)}
 	opt.Estimator.Health = health
 	stats, err := stream.Replay(context.Background(), r, parityScorer{}, opt)
 	if err != nil {
@@ -172,30 +173,25 @@ func TestMonitorDetectsDrift(t *testing.T) {
 	}
 }
 
-// TestHealthDeterminismAcrossWorkers: the same trace must yield a
-// byte-identical HealthSnapshot JSON encoding and a byte-identical drift
-// event log whether one worker or eight raced over the frames.
+// TestHealthDeterminismAcrossWorkers: the same trace decoded through a
+// stall-mode fleet pool must yield a byte-identical HealthSnapshot JSON
+// encoding and a byte-identical drift event log whether one worker or eight
+// raced over the frames.
 func TestHealthDeterminismAcrossWorkers(t *testing.T) {
 	raw := driftTrace(t, 4, 100, 6, 4, 2)
 	run := func(workers int) (snapJSON, eventLog []byte) {
 		t.Helper()
-		r, err := stream.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
 		var events bytes.Buffer
 		sink := obs.NewEventSink(&events, 256)
 		health := stream.NewHealthRegistry()
-		opt := stream.PipelineOptions{Workers: workers, Metrics: obs.Discard, Estimator: testEstimator(100)}
-		opt.Estimator.Health = health
-		opt.Estimator.Events = sink
-		if _, err := stream.Replay(context.Background(), r, parityScorer{}, opt); err != nil {
-			t.Fatal(err)
-		}
+		est := testEstimator(100)
+		est.Health = health
+		est.Events = sink
+		poolDecode(t, raw, parityScorer{}, fleet.Config{Workers: workers, StreamQueue: 64, Quantum: 8, Estimator: est})
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
-		js, err := json.Marshal(health.Get("replay").Snapshot())
+		js, err := json.Marshal(health.Get("pool").Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +220,7 @@ func TestHealthEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := stream.PipelineOptions{Workers: 2, Metrics: obs.Discard, Estimator: testEstimator(100)}
+		opt := stream.PipelineOptions{Metrics: obs.Discard, Estimator: testEstimator(100)}
 		opt.Estimator.Health = health
 		opt.Estimator.Stream = name
 		if _, err := stream.Replay(context.Background(), r, parityScorer{}, opt); err != nil {
@@ -274,11 +270,11 @@ func TestHealthEndpoint(t *testing.T) {
 func TestServerDriftMonitoring(t *testing.T) {
 	raw := driftTrace(t, 4, 100, 6, 4, 2)
 	health := stream.NewHealthRegistry()
-	opt := stream.PipelineOptions{Workers: 2, Metrics: obs.Discard, Estimator: testEstimator(100)}
-	opt.Estimator.Health = health
-	srv := stream.NewServer(func(stream.Header) (stream.FrameScorer, error) {
+	cfg := fleet.Config{Block: true, Workers: 2, Metrics: obs.Discard, Estimator: testEstimator(100)}
+	cfg.Estimator.Health = health
+	srv := fleet.NewServer(cfg, func(stream.Header) (stream.FrameScorer, error) {
 		return parityScorer{}, nil
-	}, opt)
+	})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -297,15 +293,15 @@ func TestServerDriftMonitoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Stream != "conn-1" {
-		t.Fatalf("summary stream %q, want conn-1", sum.Stream)
+	if sum.Stream != "t0-conn-1" {
+		t.Fatalf("summary stream %q, want t0-conn-1", sum.Stream)
 	}
 	if sum.DriftEvents == 0 {
 		t.Fatal("summary reports no drift events")
 	}
-	snap := health.Get("conn-1").Snapshot()
+	snap := health.Get("t0-conn-1").Snapshot()
 	if snap.Frames != 1000 || len(snap.Drifting) != 1 {
-		t.Fatalf("conn-1 snapshot: %+v", snap)
+		t.Fatalf("t0-conn-1 snapshot: %+v", snap)
 	}
 
 	cancel()
@@ -321,9 +317,9 @@ func TestServerMetricsLiveInSharedRegistry(t *testing.T) {
 	reg := obs.NewRegistry(nil)
 	gate := make(chan struct{})
 	scorer := &gatedScorer{gate: gate}
-	srv := stream.NewServer(func(stream.Header) (stream.FrameScorer, error) {
+	srv := fleet.NewServer(fleet.Config{Block: true, Workers: 1, StreamQueue: 4, Metrics: reg}, func(stream.Header) (stream.FrameScorer, error) {
 		return scorer, nil
-	}, stream.PipelineOptions{Workers: 1, QueueDepth: 4, Metrics: reg})
+	})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -367,9 +363,9 @@ func TestServerMetricsLiveInSharedRegistry(t *testing.T) {
 
 	// The decode stage is gated, so the connection stays active until we
 	// release it; /metrics must show it live.
-	waitFor(t, func() bool { return scrape("stream.server.active") == 1 }) //lint:allow floateq JSON round-trips the exact gauge integer
-	if scrape("stream.server.conns") != 1 {                                //lint:allow floateq exact small integer
-		t.Fatalf("conns = %g mid-stream, want 1", scrape("stream.server.conns"))
+	waitFor(t, func() bool { return scrape("fleet.server.active") == 1 }) //lint:allow floateq JSON round-trips the exact gauge integer
+	if scrape("fleet.server.conns") != 1 {                                //lint:allow floateq exact small integer
+		t.Fatalf("conns = %g mid-stream, want 1", scrape("fleet.server.conns"))
 	}
 
 	close(gate)
@@ -381,7 +377,7 @@ func TestServerMetricsLiveInSharedRegistry(t *testing.T) {
 	if sum.Frames != 32 {
 		t.Fatalf("summary frames %d, want 32", sum.Frames)
 	}
-	waitFor(t, func() bool { return scrape("stream.server.active") == 0 }) //lint:allow floateq exact small integer
+	waitFor(t, func() bool { return scrape("fleet.server.active") == 0 }) //lint:allow floateq exact small integer
 
 	cancel()
 	if err := <-done; err != nil {

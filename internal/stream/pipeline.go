@@ -5,29 +5,20 @@ import (
 	"context"
 	"errors"
 	"io"
-	"runtime"
-	"sync"
 )
 
 // FrameScorer scores one frame: given the sorted fired-detector list and
 // the sampled observable mask, it reports whether the frame is a logical
 // failure. *mc.FrameDecoder is the production implementation (cached graph,
 // pooled union-find decoders); tests substitute gated fakes to exercise
-// backpressure. Implementations must be safe for concurrent use.
+// backpressure. Implementations must be safe for concurrent use: the fleet
+// pool scores one scorer's frames from several workers at once.
 type FrameScorer interface {
 	ScoreFrame(syndrome []int, actual uint64) bool
 }
 
-// PipelineOptions configures a replay/live-decode run.
+// PipelineOptions configures a Replay run.
 type PipelineOptions struct {
-	// Workers is the decode fan-out; ≤ 0 selects GOMAXPROCS.
-	Workers int
-	// QueueDepth bounds the frame queue between the stream reader and the
-	// decode workers; ≤ 0 selects 256. The queue is the only buffering in
-	// the pipeline, so memory stays bounded no matter how fast frames
-	// arrive: a full queue blocks the reader, which for network streams
-	// pushes back to the sender through TCP flow control.
-	QueueDepth int
 	// Metrics selects the registry per-stream metrics land in; nil selects
 	// obs.Default, obs.Discard disables them.
 	Metrics *obs.Registry
@@ -35,20 +26,6 @@ type PipelineOptions struct {
 	// zero value (Window 0) disables it and the pipeline runs exactly as
 	// before.
 	Estimator EstimatorConfig
-}
-
-func (opt PipelineOptions) workers() int {
-	if opt.Workers > 0 {
-		return opt.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (opt PipelineOptions) queueDepth() int {
-	if opt.QueueDepth > 0 {
-		return opt.QueueDepth
-	}
-	return 256
 }
 
 // Stats summarizes one replayed stream.
@@ -68,13 +45,12 @@ type Stats struct {
 // pipelineMetrics holds the per-stream metric handles, resolved once per
 // replay. Nil handles (Discard) make every update a no-op.
 type pipelineMetrics struct {
-	registry   *obs.Registry
-	replays    *obs.Counter   // stream.replays: streams fully processed
-	frames     *obs.Counter   // stream.frames: frames decoded
-	failures   *obs.Counter   // stream.failures: logical failures scored
-	truncated  *obs.Counter   // stream.truncated: streams that ended mid-frame
-	queueDepth *obs.Gauge     // stream.queue.depth: frames waiting for a worker
-	latency    *obs.Histogram // stream.decode.latency: per-frame decode wall ns
+	registry  *obs.Registry
+	replays   *obs.Counter   // stream.replays: streams fully processed
+	frames    *obs.Counter   // stream.frames: frames decoded
+	failures  *obs.Counter   // stream.failures: logical failures scored
+	truncated *obs.Counter   // stream.truncated: streams that ended mid-frame
+	latency   *obs.Histogram // stream.decode.latency: per-frame decode wall ns
 }
 
 func newPipelineMetrics(r *obs.Registry) pipelineMetrics {
@@ -82,21 +58,20 @@ func newPipelineMetrics(r *obs.Registry) pipelineMetrics {
 		r = obs.Default
 	}
 	return pipelineMetrics{
-		registry:   r,
-		replays:    r.Counter("stream.replays"),
-		frames:     r.Counter("stream.frames"),
-		failures:   r.Counter("stream.failures"),
-		truncated:  r.Counter("stream.truncated"),
-		queueDepth: r.Gauge("stream.queue.depth"),
-		latency:    r.Histogram("stream.decode.latency"),
+		registry:  r,
+		replays:   r.Counter("stream.replays"),
+		frames:    r.Counter("stream.frames"),
+		failures:  r.Counter("stream.failures"),
+		truncated: r.Counter("stream.truncated"),
+		latency:   r.Histogram("stream.decode.latency"),
 	}
 }
 
-// Replay feeds every frame of r through scorer over a bounded-queue worker
-// pipeline and returns the aggregate stats. One goroutine reads frames and
-// enqueues them; opt.Workers goroutines dequeue, decode and score. The
-// queue is bounded (PipelineOptions.QueueDepth), so a slow decode applies
-// backpressure to the reader instead of buffering the stream in memory.
+// Replay feeds every frame of r through scorer in the caller's goroutine —
+// read, syndrome, score, monitor — and returns the aggregate stats. Nothing
+// is buffered beyond the frame in hand, so a slow decode holds the read
+// back: over a socket that is TCP flow control to the sender. Concurrent
+// decoding of many streams is fleet.Pool's job.
 //
 // Termination:
 //
@@ -105,13 +80,8 @@ func newPipelineMetrics(r *obs.Registry) pipelineMetrics {
 //     Stats.Truncated set and an error wrapping ErrTruncated; callers that
 //     tolerate partial traces test with errors.Is.
 //   - Corrupt trace or read failure: totals so far plus the error.
-//   - Context cancellation: the reader stops promptly, the workers drain
-//     every frame already queued (bounded by QueueDepth, so the drain is
-//     prompt too), and Replay returns the partial totals with ctx.Err().
-//
-// Replay is deterministic in its counts: scoring is per-frame and the sum
-// is order-independent, so worker count and queue depth never change the
-// result — the property the round-trip oracle tests rely on.
+//   - Context cancellation: the frame in hand finishes scoring, no further
+//     frame is read, and Replay returns the partial totals with ctx.Err().
 func Replay(ctx context.Context, r *Reader, scorer FrameScorer, opt PipelineOptions) (Stats, error) {
 	m := newPipelineMetrics(opt.Metrics)
 	ctx, span := obs.StartSpan(ctx, "stream.replay")
@@ -119,97 +89,50 @@ func Replay(ctx context.Context, r *Reader, scorer FrameScorer, opt PipelineOpti
 	span.SetAttr("detectors", r.Header().NumDetectors)
 
 	// The drift monitor observes every scored frame, keyed by the frame's
-	// stream position so its windows are identical across worker counts.
+	// stream position.
 	var mon *Monitor
 	if opt.Estimator.Window > 0 {
 		mon = NewMonitor(opt.Estimator, scorer, r.Header(), m.registry)
 		opt.Estimator.Health.Register(mon)
 	}
 
-	type job struct {
-		idx    int64
-		packed []byte
-		obs    uint64
-	}
-	jobs := make(chan job, opt.queueDepth())
-	bufs := sync.Pool{New: func() interface{} { return make([]byte, r.FrameBytes()) }}
-
-	// The reader goroutine owns the jobs channel: it is the only sender and
-	// closes it on every exit path, so workers always terminate by channel
-	// closure. readErr is written before the close and read after the
-	// workers are joined, which orders the accesses.
-	var readErr error
-	go func() {
-		defer close(jobs)
-		var f Frame
-		var idx int64
-		for {
-			if err := ctx.Err(); err != nil {
-				readErr = err
-				return
-			}
-			err := r.Next(&f)
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				readErr = err
-				return
-			}
-			buf := bufs.Get().([]byte)
-			copy(buf, f.Packed)
-			select {
-			case jobs <- job{idx: idx, packed: buf, obs: f.Obs}:
-				idx++
-				m.queueDepth.Set(float64(len(jobs)))
-			case <-ctx.Done():
-				readErr = ctx.Err()
-				return
-			}
-		}
-	}()
-
 	var (
-		mu     sync.Mutex
-		totals Stats
-		wg     sync.WaitGroup
+		totals  Stats
+		readErr error
+		f       Frame
 	)
-	for w := 0; w < opt.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			syn := make([]int, 0, r.Header().NumDetectors)
-			frames, failures := 0, 0
-			for j := range jobs {
-				f := Frame{Obs: j.obs, Packed: j.packed}
-				syn = f.Syndrome(syn[:0])
-				var failed bool
-				if m.latency != nil {
-					start := m.registry.Now()
-					failed = scorer.ScoreFrame(syn, j.obs)
-					m.latency.Observe(m.registry.Now().Sub(start).Nanoseconds())
-				} else {
-					failed = scorer.ScoreFrame(syn, j.obs)
-				}
-				if failed {
-					failures++
-				}
-				mon.Observe(j.idx, syn, failed)
-				frames++
-				bufs.Put(j.packed)
-			}
-			mu.Lock()
-			totals.Frames += frames
-			totals.Failures += failures
-			mu.Unlock()
-		}()
+	syn := make([]int, 0, r.Header().NumDetectors)
+	for {
+		if readErr = ctx.Err(); readErr != nil {
+			break
+		}
+		err := r.Next(&f)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			readErr = err
+			break
+		}
+		syn = f.Syndrome(syn[:0])
+		var failed bool
+		if m.latency != nil {
+			start := m.registry.Now()
+			failed = scorer.ScoreFrame(syn, f.Obs)
+			m.latency.Observe(m.registry.Now().Sub(start).Nanoseconds())
+		} else {
+			failed = scorer.ScoreFrame(syn, f.Obs)
+		}
+		if failed {
+			totals.Failures++
+		}
+		mon.Observe(int64(totals.Frames), syn, failed)
+		totals.Frames++
 	}
-	wg.Wait()
 	// The stream has ended on every path (clean, truncated, corrupt,
 	// cancelled): flush the monitor's trailing partial window so drift in it
 	// still produces events before the summary is written.
 	mon.Finalize()
-	m.queueDepth.Set(0)
 	m.frames.Add(int64(totals.Frames))
 	m.failures.Add(int64(totals.Failures))
 	m.replays.Inc()

@@ -1,30 +1,26 @@
 package stream
 
 import (
-	"caliqec/internal/obs"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
-	"sync/atomic"
 )
 
-// Summary is the server's single-line JSON reply to one ingested stream.
+// Summary is the server's single-line JSON reply to one ingested stream
+// (fleet.Server writes it; SendTrace reads it).
 type Summary struct {
 	Frames    int     `json:"frames"`
 	Failures  int     `json:"failures"`
 	LER       float64 `json:"ler"`
 	Truncated bool    `json:"truncated,omitempty"`
 	Error     string  `json:"error,omitempty"`
-	// Stream is the server-assigned stream name ("conn-N") when drift
-	// monitoring is on; look it up under /health/stream/<Stream>.
+	// Stream is the server-assigned stream name ("t<tenant>-conn-<n>")
+	// when drift monitoring is on; look it up under /health/stream/<Stream>.
 	Stream string `json:"stream,omitempty"`
 	// DriftEvents counts the drift events the stream's monitor generated.
 	DriftEvents int64 `json:"drift_events,omitempty"`
-	// Tenant echoes the tenant the stream was accounted to (fleet servers).
+	// Tenant echoes the tenant the stream was accounted to.
 	Tenant uint32 `json:"tenant,omitempty"`
 	// Shed counts frames the fleet declined under admission control or
 	// queue backpressure; Frames counts only the decoded ones, so
@@ -94,161 +90,6 @@ func (c *Catalog) Resolve(h Header) (FrameScorer, error) {
 	return s, nil
 }
 
-// Server ingests length-prefixed trace streams over TCP (or any
-// net.Listener) and live-decodes them through the replay pipeline. The
-// protocol is the trace format itself: a client connects, streams header
-// plus frames, half-closes its write side, and receives one JSON Summary
-// line. Backpressure is end-to-end — the bounded pipeline queue blocks the
-// connection read, which TCP flow control propagates to the sender — so
-// server memory stays bounded per stream regardless of client rate.
-type Server struct {
-	resolve func(Header) (FrameScorer, error)
-	opt     PipelineOptions
-
-	metrics serverMetrics
-	connSeq atomic.Int64 // stream name sequence for drift monitoring
-}
-
-// serverMetrics bundles the server's handles into the shared obs.Registry
-// (the one PipelineOptions.Metrics selects), so a /metrics scrape of that
-// registry reflects live connection state — not a private copy.
-type serverMetrics struct {
-	conns    *obs.Counter // stream.server.conns: connections accepted
-	active   *obs.Gauge   // stream.server.active: streams being decoded now
-	rejected *obs.Counter // stream.server.rejected: streams refused (bad header / unknown circuit)
-
-	// activeN backs the active gauge: gauges are last-value, so concurrent
-	// handlers increment this atomic and publish its value.
-	activeN atomic.Int64
-}
-
-// newServerMetrics resolves the server's handles in reg (nil selects
-// obs.Default, obs.Discard disables them).
-func newServerMetrics(reg *obs.Registry) serverMetrics {
-	if reg == nil {
-		reg = obs.Default
-	}
-	return serverMetrics{
-		conns:    reg.Counter("stream.server.conns"),
-		active:   reg.Gauge("stream.server.active"),
-		rejected: reg.Counter("stream.server.rejected"),
-	}
-}
-
-// connStarted records a connection entering decode and publishes the new
-// active count; the returned func records it leaving.
-func (m *serverMetrics) connStarted() (done func()) {
-	m.active.Set(float64(m.activeN.Add(1)))
-	return func() { m.active.Set(float64(m.activeN.Add(-1))) }
-}
-
-// NewServer returns a server resolving incoming streams through resolve
-// (typically Catalog.Resolve) and decoding them with opt. Metrics land in
-// opt.Metrics. When opt.Estimator.Window > 0 every connection gets its own
-// drift monitor under a server-assigned stream name ("conn-1", "conn-2",
-// ...), registered in opt.Estimator.Health when set; note each name adds a
-// stream.drift.qubits.<name> gauge to the registry, so a long-lived server
-// with monitoring on accumulates one gauge per connection.
-func NewServer(resolve func(Header) (FrameScorer, error), opt PipelineOptions) *Server {
-	return &Server{
-		resolve: resolve,
-		opt:     opt,
-		metrics: newServerMetrics(opt.Metrics),
-	}
-}
-
-// Serve accepts connections from ln until ctx is canceled, decoding each
-// stream concurrently. Shutdown is draining: cancellation closes the
-// listener and unblocks in-flight connection reads, each pipeline drains
-// its queued frames, and Serve returns only after every handler has
-// finished. A cancellation-triggered shutdown returns nil; any other
-// accept failure is returned after the same drain.
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	stop := context.AfterFunc(ctx, func() { ln.Close() })
-	defer stop()
-	var wg sync.WaitGroup
-	var acceptErr error
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() == nil && !errors.Is(err, net.ErrClosed) {
-				acceptErr = err
-			}
-			break
-		}
-		s.metrics.conns.Inc()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.handleConn(ctx, conn)
-		}()
-	}
-	wg.Wait()
-	// Every handler has drained and finalized its monitor windows; flush the
-	// drift-event sink so events from the final partial windows reach the log
-	// before Serve returns and the process moves on (or exits). The sink
-	// stays open — it is caller-owned and may be shared.
-	if err := s.opt.Estimator.Events.Flush(); err != nil && acceptErr == nil {
-		acceptErr = fmt.Errorf("stream: flushing drift events: %w", err)
-	}
-	return acceptErr
-}
-
-// handleConn decodes one connection's stream and writes the summary line.
-// On cancellation the connection is closed to unblock a pending read; the
-// pipeline still drains what was queued, and the summary write is then a
-// best-effort no-op on the closed socket.
-func (s *Server) handleConn(ctx context.Context, conn net.Conn) {
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	ctx, span := obs.StartSpan(ctx, "stream.serve_conn")
-	defer span.End()
-
-	done := s.metrics.connStarted()
-	defer done()
-
-	r, err := NewReader(conn)
-	if err != nil {
-		s.metrics.rejected.Inc()
-		span.Event("rejected")
-		writeSummary(conn, Summary{Error: err.Error()})
-		return
-	}
-	scorer, err := s.resolve(r.Header())
-	if err != nil {
-		s.metrics.rejected.Inc()
-		span.Event("rejected")
-		writeSummary(conn, Summary{Error: err.Error()})
-		return
-	}
-	opt := s.opt
-	if opt.Estimator.Window > 0 {
-		opt.Estimator.Stream = fmt.Sprintf("conn-%d", s.connSeq.Add(1))
-	}
-	stats, rerr := Replay(ctx, r, scorer, opt)
-	sum := Summary{Frames: stats.Frames, Failures: stats.Failures, Truncated: stats.Truncated}
-	if opt.Estimator.Window > 0 {
-		sum.Stream = opt.Estimator.Stream
-		sum.DriftEvents = stats.DriftEvents
-	}
-	if stats.Frames > 0 {
-		sum.LER = float64(stats.Failures) / float64(stats.Frames)
-	}
-	if rerr != nil && !errors.Is(rerr, ErrTruncated) {
-		sum.Error = rerr.Error()
-	}
-	span.SetAttr("frames", stats.Frames)
-	writeSummary(conn, sum)
-}
-
-// writeSummary sends one JSON summary line; errors are ignored (the peer
-// may already be gone, and the stream stats were recorded regardless).
-func writeSummary(w io.Writer, sum Summary) {
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(sum)
-}
-
 // CloseWriter is the half-close capability SendTrace needs from its
 // connection; *net.TCPConn implements it.
 type CloseWriter interface {
@@ -260,21 +101,20 @@ type CloseWriter interface {
 // summary line. The caller owns conn (set deadlines there for timeouts) and
 // closes it afterwards.
 //
-// When the server sheds the stream the returned error wraps ErrOverload and
-// the Summary still carries the server's accounting (admitted frames, shed
-// count, tenant). This holds even when the send itself fails mid-copy: a
-// fleet server that refuses admission writes its rejection summary and
-// closes, which surfaces client-side as a write error (EPIPE/RST) — before
-// reporting corruption, SendTrace reads whatever summary the server managed
-// to send and classifies from it.
+// A decoded summary is the server's own account of the stream, so it wins
+// over any send-side error: a server that rejects or sheds a stream writes
+// its summary and closes, which surfaces client-side as a write error
+// (EPIPE/RST) mid-copy or as ENOTCONN from the half-close. The send error is
+// returned only when no summary arrives. When the server shed the stream the
+// returned error wraps ErrOverload and the Summary still carries the
+// server's accounting (admitted frames, shed count, tenant).
 func SendTrace(conn io.ReadWriter, tr io.Reader) (Summary, error) {
 	cw, ok := conn.(CloseWriter)
 	if !ok {
 		return Summary{}, fmt.Errorf("stream: connection %T cannot half-close; SendTrace requires a CloseWriter", conn)
 	}
-	// An I/O failure here may be the server closing on us after writing a
-	// rejection summary, so fall through to the summary read either way; a
-	// broken connection makes that read fail fast rather than block.
+	// A broken connection makes the summary read below fail fast rather
+	// than block, so a send error never needs to short-circuit it.
 	copyErr := func() error {
 		if _, err := io.Copy(conn, tr); err != nil {
 			return fmt.Errorf("stream: sending trace: %w", err)
@@ -293,9 +133,6 @@ func SendTrace(conn io.ReadWriter, tr io.Reader) (Summary, error) {
 	}
 	if sum.Overload {
 		return sum, fmt.Errorf("%w: %d frames admitted, %d shed (tenant %d)", ErrOverload, sum.Frames, sum.Shed, sum.Tenant)
-	}
-	if copyErr != nil {
-		return sum, copyErr
 	}
 	return sum, nil
 }

@@ -9,21 +9,22 @@ import (
 	"testing"
 	"time"
 
+	"caliqec/internal/fleet"
 	"caliqec/internal/mc"
 	"caliqec/internal/obs"
 	"caliqec/internal/stream"
 )
 
-// startTestServer spins a server on a loopback listener and returns the
-// address, the cancel handle, and the Serve result channel.
-func startTestServer(t *testing.T, resolve func(stream.Header) (stream.FrameScorer, error), opt stream.PipelineOptions) (net.Addr, context.CancelFunc, <-chan error) {
+// startTestServer spins a fleet server on a loopback listener and returns
+// the address, the cancel handle, and the Serve result channel.
+func startTestServer(t *testing.T, resolve func(stream.Header) (stream.FrameScorer, error), cfg fleet.Config) (net.Addr, context.CancelFunc, <-chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := stream.NewServer(resolve, opt)
+	srv := fleet.NewServer(cfg, resolve)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
 	return ln.Addr(), cancel, served
@@ -43,7 +44,7 @@ func TestServerTruncatedFinalFrame(t *testing.T) {
 	}
 	cat := stream.NewCatalog()
 	cat.Register(fd.CircuitFingerprint(), fd)
-	addr, cancel, served := startTestServer(t, cat.Resolve, stream.PipelineOptions{Workers: 2, Metrics: obs.Discard})
+	addr, cancel, served := startTestServer(t, cat.Resolve, fleet.Config{Block: true, Workers: 2, Metrics: obs.Discard})
 	defer cancel()
 
 	frameLen := 4 + 8 + stream.FrameBytes(spec.Circuit.NumDetectors) + 4
@@ -88,7 +89,7 @@ func TestServerConcurrentCancellation(t *testing.T) {
 	}
 	cat := stream.NewCatalog()
 	cat.Register(fd.CircuitFingerprint(), fd)
-	addr, cancel, served := startTestServer(t, cat.Resolve, stream.PipelineOptions{Workers: 2, Metrics: obs.Discard})
+	addr, cancel, served := startTestServer(t, cat.Resolve, fleet.Config{Block: true, Workers: 2, Metrics: obs.Discard})
 	defer cancel()
 
 	// One client runs to completion first; its summary must be exact.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"caliqec/internal/fleet"
 	"caliqec/internal/obs"
 	"caliqec/internal/stream"
 )
@@ -54,8 +55,8 @@ func TestServerShutdownFlushesPartialWindowEvents(t *testing.T) {
 	health := stream.NewHealthRegistry()
 	addr, cancel, served := startTestServer(t,
 		func(stream.Header) (stream.FrameScorer, error) { return parityScorer{}, nil },
-		stream.PipelineOptions{
-			Workers: 2, Metrics: obs.Discard,
+		fleet.Config{
+			Block: true, Workers: 2, Metrics: obs.Discard,
 			Estimator: stream.EstimatorConfig{
 				Window:          window,
 				BaselineWindows: 1,
@@ -79,7 +80,7 @@ func TestServerShutdownFlushesPartialWindowEvents(t *testing.T) {
 	// Wait until every sent frame has been decoded and observed.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m := health.Get("conn-1")
+		m := health.Get("t0-conn-1")
 		if m != nil && m.Snapshot().Frames == steady+tail {
 			break
 		}
@@ -100,7 +101,7 @@ func TestServerShutdownFlushesPartialWindowEvents(t *testing.T) {
 	}
 
 	// The draining handler finalized the pending partial window.
-	snap := health.Get("conn-1").Snapshot()
+	snap := health.Get("t0-conn-1").Snapshot()
 	if snap.Windows != 2 || snap.PendingFrames != 0 {
 		t.Fatalf("snapshot after shutdown: %d windows / %d pending frames, want 2 / 0 (partial window finalized)",
 			snap.Windows, snap.PendingFrames)
@@ -123,7 +124,7 @@ func TestServerShutdownFlushesPartialWindowEvents(t *testing.T) {
 	}
 	found := false
 	for _, ev := range got {
-		if ev.Kind == stream.DriftFireRate && ev.Detector == hotDet && ev.Window == 2 && ev.Stream == "conn-1" {
+		if ev.Kind == stream.DriftFireRate && ev.Detector == hotDet && ev.Window == 2 && ev.Stream == "t0-conn-1" {
 			found = true
 		}
 	}

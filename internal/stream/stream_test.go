@@ -6,13 +6,16 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"caliqec/internal/code"
 	"caliqec/internal/decoder"
+	"caliqec/internal/fleet"
 	"caliqec/internal/lattice"
 	"caliqec/internal/mc"
 	"caliqec/internal/obs"
@@ -43,10 +46,9 @@ func recordTrace(t testing.TB, spec mc.Spec) []byte {
 	return buf.Bytes()
 }
 
-// TestRecordReplayMatchesEvaluate is the tentpole's round-trip oracle: a
-// recorded trace replayed through the pipeline must reproduce the logical
-// failure count of the in-process evaluation it mirrors, bit-identically,
-// for any worker fan-out.
+// TestRecordReplayMatchesEvaluate is the round-trip oracle: a recorded
+// trace replayed through Replay must reproduce the logical failure count of
+// the in-process evaluation it mirrors, bit-identically.
 func TestRecordReplayMatchesEvaluate(t *testing.T) {
 	spec := memorySpec(t, 3, 3e-3, 5000) // not a ChunkShots multiple: tail chunk
 	eng := mc.New(mc.Options{})
@@ -63,32 +65,28 @@ func TestRecordReplayMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		r, err := stream.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h := r.Header(); h.Fingerprint != mc.Fingerprint(spec.Circuit) ||
-			h.Seed != spec.Seed || h.Shots != uint64(spec.Shots) {
-			t.Fatalf("trace header %+v does not carry spec metadata", h)
-		}
-		stats, err := stream.Replay(context.Background(), r, fd,
-			stream.PipelineOptions{Workers: workers, Metrics: obs.Discard})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if stats.Frames != spec.Shots {
-			t.Fatalf("workers=%d: replayed %d frames, want %d", workers, stats.Frames, spec.Shots)
-		}
-		if stats.Failures != want.Failures {
-			t.Fatalf("workers=%d: replay counted %d failures, Evaluate counted %d",
-				workers, stats.Failures, want.Failures)
-		}
+	r, err := stream.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := r.Header(); h.Fingerprint != mc.Fingerprint(spec.Circuit) ||
+		h.Seed != spec.Seed || h.Shots != uint64(spec.Shots) {
+		t.Fatalf("trace header %+v does not carry spec metadata", h)
+	}
+	stats, err := stream.Replay(context.Background(), r, fd, stream.PipelineOptions{Metrics: obs.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Frames != spec.Shots {
+		t.Fatalf("replayed %d frames, want %d", stats.Frames, spec.Shots)
+	}
+	if stats.Failures != want.Failures {
+		t.Fatalf("replay counted %d failures, Evaluate counted %d", stats.Failures, want.Failures)
 	}
 }
 
 // gatedScorer blocks every ScoreFrame call until its gate closes, so tests
-// can hold the pipeline's decode stage and observe queueing behaviour.
+// can hold the decode stage and observe how far the read runs ahead.
 type gatedScorer struct {
 	gate   chan struct{}
 	scored atomic.Int64
@@ -101,7 +99,7 @@ func (g *gatedScorer) ScoreFrame(syndrome []int, actual uint64) bool {
 }
 
 // countingReader tallies bytes consumed from the underlying reader so tests
-// can see how far the pipeline has read into a stream.
+// can see how far a replay has read into a stream.
 type countingReader struct {
 	r io.Reader
 	n atomic.Int64
@@ -152,15 +150,12 @@ func waitStable(t testing.TB, load func() int64) int64 {
 	return 0
 }
 
-// TestReplayBackpressure: with the decode stage held, the reader may buffer
-// at most the queue depth plus in-hand frames — it must not slurp the whole
-// stream into memory.
+// TestReplayBackpressure: with the decode stage held, Replay reads nothing
+// past the frame in hand — it must not slurp the stream into memory.
 func TestReplayBackpressure(t *testing.T) {
 	const (
-		numDet     = 16
-		frames     = 500
-		workers    = 2
-		queueDepth = 8
+		numDet = 16
+		frames = 500
 	)
 	raw := syntheticTrace(t, numDet, frames)
 	frameLen := 4 + 8 + stream.FrameBytes(numDet) + 4
@@ -177,18 +172,16 @@ func TestReplayBackpressure(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		stats, err := stream.Replay(context.Background(), r, g,
-			stream.PipelineOptions{Workers: workers, QueueDepth: queueDepth, Metrics: obs.Discard})
+		stats, err := stream.Replay(context.Background(), r, g, stream.PipelineOptions{Metrics: obs.Discard})
 		done <- out{stats, err}
 	}()
 
 	consumed := waitStable(t, cr.n.Load)
-	// Header + (queue + one per worker + one in the reader's hand) frames is
-	// the ceiling; anything more means the queue is not applying
-	// backpressure.
-	maxFrames := int64(queueDepth + workers + 1)
-	if got := (consumed - 60) / int64(frameLen); got > maxFrames {
-		t.Fatalf("reader consumed %d frames with decode stalled, want ≤ %d", got, maxFrames)
+	// The header plus the one frame being scored is the ceiling; anything
+	// more means the read runs ahead of the decode.
+	hdrLen := int64(len(raw) - frames*frameLen)
+	if got := (consumed - hdrLen) / int64(frameLen); got > 1 {
+		t.Fatalf("reader consumed %d frames with decode stalled, want ≤ 1", got)
 	}
 
 	close(g.gate)
@@ -204,11 +197,10 @@ func TestReplayBackpressure(t *testing.T) {
 	}
 }
 
-// TestReplayCancellationDrains: cancelling mid-stream stops the reader
-// promptly but the workers still score every frame already queued, and the
-// returned stats account for exactly those frames.
+// TestReplayCancellationDrains: cancelling mid-stream stops the read
+// promptly but the frame in hand is still scored, and the returned stats
+// account for exactly the scored frames.
 func TestReplayCancellationDrains(t *testing.T) {
-	const queueDepth = 4
 	raw := syntheticTrace(t, 16, 200)
 	cr := &countingReader{r: bytes.NewReader(raw)}
 	r, err := stream.NewReader(cr)
@@ -224,14 +216,13 @@ func TestReplayCancellationDrains(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		stats, err := stream.Replay(ctx, r, g,
-			stream.PipelineOptions{Workers: 1, QueueDepth: queueDepth, Metrics: obs.Discard})
+		stats, err := stream.Replay(ctx, r, g, stream.PipelineOptions{Metrics: obs.Discard})
 		done <- out{stats, err}
 	}()
 
-	waitStable(t, cr.n.Load) // queue full, reader blocked on send
+	waitStable(t, cr.n.Load) // first frame read, its decode held at the gate
 	cancel()
-	close(g.gate) // release the decode stage so the drain can run
+	close(g.gate) // release the decode stage so the frame in hand finishes
 	res := <-done
 	if !errors.Is(res.err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", res.err)
@@ -242,14 +233,14 @@ func TestReplayCancellationDrains(t *testing.T) {
 	if int64(res.stats.Frames) != g.scored.Load() {
 		t.Fatalf("stats count %d frames but scorer saw %d", res.stats.Frames, g.scored.Load())
 	}
-	// 1 in the worker + queueDepth queued is everything that can be
-	// committed once the reader stops.
-	if res.stats.Frames > queueDepth+1 {
-		t.Fatalf("drained %d frames, want ≤ %d", res.stats.Frames, queueDepth+1)
+	// The frame in hand is everything that can be committed once the
+	// context is cancelled.
+	if res.stats.Frames > 1 {
+		t.Fatalf("drained %d frames, want ≤ 1", res.stats.Frames)
 	}
 }
 
-// TestReplayTruncatedTrace: the pipeline surfaces truncation as partial
+// TestReplayTruncatedTrace: Replay surfaces truncation as partial
 // stats plus ErrTruncated, matching the Reader contract.
 func TestReplayTruncatedTrace(t *testing.T) {
 	raw := syntheticTrace(t, 16, 50)
@@ -293,7 +284,7 @@ func TestServerConcurrentStreams(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv := stream.NewServer(cat.Resolve, stream.PipelineOptions{Workers: 2, Metrics: obs.Discard})
+	srv := fleet.NewServer(fleet.Config{Block: true, Workers: 2, Metrics: obs.Discard}, cat.Resolve)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
 
@@ -362,7 +353,7 @@ func TestServerRejectsUnknownCircuit(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv := stream.NewServer(stream.NewCatalog().Resolve, stream.PipelineOptions{Metrics: obs.Discard})
+	srv := fleet.NewServer(fleet.Config{Block: true, Metrics: obs.Discard}, stream.NewCatalog().Resolve)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
 
@@ -396,7 +387,7 @@ func TestServerDrainingShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := stream.NewServer(resolve, stream.PipelineOptions{Metrics: obs.Discard})
+	srv := fleet.NewServer(fleet.Config{Block: true, Metrics: obs.Discard}, resolve)
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
 
@@ -436,8 +427,9 @@ func TestServerDrainingShutdown(t *testing.T) {
 	}
 }
 
-// TestReplayRealDecoderConcurrencyDeterminism replays the same real trace at
-// several fan-outs with the production FrameDecoder and requires identical
+// TestReplayRealDecoderConcurrencyDeterminism decodes the same real trace
+// with the production FrameDecoder serially through Replay and through a
+// stall-mode fleet pool at several worker counts, and requires identical
 // counts — the worker-count independence half of the determinism contract.
 func TestReplayRealDecoderConcurrencyDeterminism(t *testing.T) {
 	spec := memorySpec(t, 3, 5e-3, 1500)
@@ -446,21 +438,96 @@ func TestReplayRealDecoderConcurrencyDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := -1
+	r, err := stream.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stream.Replay(context.Background(), r, fd, stream.PipelineOptions{Metrics: obs.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 3, 8} {
-		r, err := stream.NewReader(bytes.NewReader(raw))
+		got := poolDecode(t, raw, fd, fleet.Config{Workers: workers, StreamQueue: 16})
+		if got.Admitted != int64(want.Frames) || got.Failures != int64(want.Failures) {
+			t.Fatalf("workers=%d: pool decoded %d frames / %d failures, Replay %d / %d",
+				workers, got.Admitted, got.Failures, want.Frames, want.Failures)
+		}
+	}
+}
+
+// poolDecode feeds every frame of raw through one stream of a stall-mode
+// (Block) fleet pool built from cfg and returns the stream's final stats,
+// after the pool has closed.
+func poolDecode(t testing.TB, raw []byte, scorer stream.FrameScorer, cfg fleet.Config) fleet.StreamStats {
+	t.Helper()
+	r, err := stream.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Block = true
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.Discard
+	}
+	p := fleet.NewPool(cfg)
+	st, err := p.Open(r.Header(), scorer, "pool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f stream.Frame
+	for {
+		err := r.Next(&f)
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := stream.Replay(context.Background(), r, fd,
-			stream.PipelineOptions{Workers: workers, QueueDepth: 16, Metrics: obs.Discard})
-		if err != nil {
-			t.Fatal(err)
+		if !st.Offer(f.Packed, f.Obs) {
+			t.Fatal("stall-mode pool shed a frame")
 		}
-		if base == -1 {
-			base = stats.Failures
-		} else if stats.Failures != base {
-			t.Fatalf("workers=%d: %d failures, workers=1 counted %d", workers, stats.Failures, base)
-		}
+	}
+	st.CloseSend()
+	<-st.Done()
+	st.Close()
+	p.Close()
+	return st.Stats()
+}
+
+// halfCloseConn is a fake connection whose summary side is preloaded and
+// whose CloseWrite fails the way a TCP socket does once the server has
+// already closed: ENOTCONN.
+type halfCloseConn struct {
+	summary io.Reader
+}
+
+func (c *halfCloseConn) Read(p []byte) (int, error)  { return c.summary.Read(p) }
+func (c *halfCloseConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *halfCloseConn) CloseWrite() error           { return syscall.ENOTCONN }
+
+// TestSendTraceSummaryWinsOverHalfCloseError: a server that answers and
+// closes before the client half-closes makes CloseWrite fail with ENOTCONN.
+// The decoded summary must win over that send-side error; with no summary
+// the error must still surface.
+func TestSendTraceSummaryWinsOverHalfCloseError(t *testing.T) {
+	trace := syntheticTrace(t, 8, 2)
+	line := `{"frames":0,"failures":0,"ler":0,"error":"stream: no decoder registered"}` + "\n"
+	sum, err := stream.SendTrace(&halfCloseConn{summary: strings.NewReader(line)}, bytes.NewReader(trace))
+	if err != nil {
+		t.Fatalf("summary decoded but SendTrace returned %v", err)
+	}
+	if sum.Error != "stream: no decoder registered" {
+		t.Fatalf("summary %+v lost the server's error", sum)
+	}
+
+	_, err = stream.SendTrace(&halfCloseConn{summary: strings.NewReader("")}, bytes.NewReader(trace))
+	if !errors.Is(err, syscall.ENOTCONN) {
+		t.Fatalf("no summary: err = %v, want the half-close ENOTCONN", err)
+	}
+
+	// An overload summary still classifies as ErrOverload.
+	line = `{"frames":1,"failures":0,"ler":0,"shed":1,"overload":true}` + "\n"
+	sum, err = stream.SendTrace(&halfCloseConn{summary: strings.NewReader(line)}, bytes.NewReader(trace))
+	if !errors.Is(err, stream.ErrOverload) || sum.Shed != 1 {
+		t.Fatalf("overload summary: sum %+v err %v, want ErrOverload with the shed count", sum, err)
 	}
 }

@@ -37,25 +37,18 @@ func TestReplayWindowedDecoder(t *testing.T) {
 	}
 
 	// Full window: no mid-stream commits, so the failure count matches
-	// Evaluate exactly for any worker fan-out.
+	// Evaluate exactly.
 	wd, err := eng.WindowedFrameDecoder(spec.Circuit, spec.Circuit.NumRounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		r, err := stream.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := stream.Replay(context.Background(), r, wd,
-			stream.PipelineOptions{Workers: workers, Metrics: obs.Discard})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if stats.Frames != spec.Shots || stats.Failures != want.Failures {
-			t.Fatalf("workers=%d: windowed replay %d failures over %d frames, Evaluate counted %d over %d",
-				workers, stats.Failures, stats.Frames, want.Failures, spec.Shots)
-		}
+	stats, err := stream.Replay(context.Background(), r, wd, stream.PipelineOptions{Metrics: obs.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Frames != spec.Shots || stats.Failures != want.Failures {
+		t.Fatalf("windowed replay %d failures over %d frames, Evaluate counted %d over %d",
+			stats.Failures, stats.Frames, want.Failures, spec.Shots)
 	}
 
 	// Sliding window: commits happen mid-shot; the count may drift within
@@ -68,8 +61,7 @@ func TestReplayWindowedDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := stream.Replay(context.Background(), r3, wd3,
-		stream.PipelineOptions{Workers: 2, Metrics: obs.Discard})
+	stats, err = stream.Replay(context.Background(), r3, wd3, stream.PipelineOptions{Metrics: obs.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
