@@ -6,18 +6,26 @@
 // The extraction exploits the linearity of Pauli-frame propagation: every
 // noise channel decomposes into elementary Pauli errors at a circuit
 // location, and each such error deterministically flips a fixed set of
-// measurement record bits, hence a fixed set of detectors. Mechanisms whose
-// symptom involves more than two detectors (e.g. a Y error straddling both
-// stabilizer types) are decomposed into their X and Z parts — which, for the
-// CSS circuits generated in this repository, are always graph-like (≤ 2
-// detectors). This reproduces the Stim circuit→DEM→matching-graph pipeline
-// the paper's evaluation uses.
+// measurement record bits, hence a fixed set of detectors — its symptom.
+// Symptoms are found in one backward sweep over the circuit, as Stim does:
+// walking from the last instruction to the first, the extractor keeps for
+// every qubit the symptom an X error there would cause and the symptom a Z
+// error would cause, and maps both back through each instruction by fixed
+// rules (H swaps them, CX(c,t) folds X_t into X_c and Z_c into Z_t, a
+// measurement adds its record bit to the flipped basis and clears the
+// other, a reset clears both). An elementary error's symptom is then the
+// XOR of at most four per-qubit symptoms, so the cost is linear in circuit
+// size rather than in faults × depth. Mechanisms whose symptom involves
+// more than two detectors (e.g. a Y error straddling both stabilizer types)
+// are decomposed into their X and Z parts — which, for the CSS circuits
+// generated in this repository, are always graph-like (≤ 2 detectors).
+// This reproduces the Stim circuit→DEM→matching-graph pipeline the paper's
+// evaluation uses.
 package dem
 
 import (
 	"caliqec/internal/circuit"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -89,368 +97,305 @@ func (m *Model) String() string {
 	return sb.String()
 }
 
-// pauliBits is a sparse frame: qubit -> (x,z) bits packed as 2 bits.
-type pauliBits map[int]uint8
-
 const (
 	bitX uint8 = 2
 	bitZ uint8 = 1
 )
 
+// flips is the Pauli error of each single-qubit channel; a reset's Arg is
+// the probability of the error left after preparing |0> or |+>.
+var flips = map[circuit.OpCode]uint8{
+	circuit.OpXError: bitX, circuit.OpZError: bitZ, circuit.OpYError: bitX | bitZ,
+	circuit.OpReset: bitX, circuit.OpResetX: bitZ,
+}
+
+// symptom is what one Pauli error flips: sorted detector indices and an
+// observable mask. A symptom is never mutated once built, so the sweep
+// shares them freely between qubits.
+type symptom struct {
+	dets []int
+	obs  uint64
+}
+
+// xor returns the symmetric difference of a and b.
+func (a symptom) xor(b symptom) symptom {
+	switch {
+	case len(b.dets) == 0:
+		return symptom{a.dets, a.obs ^ b.obs}
+	case len(a.dets) == 0:
+		return symptom{b.dets, a.obs ^ b.obs}
+	}
+	out := make([]int, 0, len(a.dets)+len(b.dets))
+	i, j := 0, 0
+	for i < len(a.dets) && j < len(b.dets) {
+		switch {
+		case a.dets[i] < b.dets[j]:
+			out = append(out, a.dets[i])
+			i++
+		case a.dets[i] > b.dets[j]:
+			out = append(out, b.dets[j])
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	out = append(append(out, a.dets[i:]...), b.dets[j:]...)
+	if len(out) == 0 {
+		out = nil
+	}
+	return symptom{out, a.obs ^ b.obs}
+}
+
+// key identifies a graph-like symptom in the merge map.
+type key struct {
+	n   int
+	d   [2]int
+	obs uint64
+}
+
+// term is one elementary error found by the sweep: its symptom and
+// probability, waiting to be merged.
+type term struct {
+	k key
+	p float64
+}
+
 // FromCircuit extracts the DEM of c. It returns an error if any mechanism
 // remains non-graph-like (more than two detectors) after X/Z decomposition,
 // which indicates the circuit is outside the CSS family this package
-// supports.
+// supports; with several such mechanisms, the one earliest in the circuit
+// is named.
 func FromCircuit(c *circuit.Circuit) (*Model, error) {
-	ex := newExtractor(c)
-	return ex.run()
-}
-
-type extractor struct {
-	c *circuit.Circuit
-	// measToDet[r] lists detectors containing measurement record bit r.
-	measToDet [][]int
-	// measToObs[r] is the observable mask of record bit r.
-	measToObs []uint64
-	// measBefore[i] is the number of measurement record bits produced by
-	// instructions strictly before instruction i.
-	measBefore []int
-	// merged accumulates mechanisms keyed by canonical symptom.
-	merged map[string]*Mechanism
-	order  []string // insertion order for deterministic output
-}
-
-func newExtractor(c *circuit.Circuit) *extractor {
-	ex := &extractor{
-		c:         c,
-		measToDet: make([][]int, c.NumMeas),
-		measToObs: make([]uint64, c.NumMeas),
-		merged:    map[string]*Mechanism{},
+	sw := &sweep{
+		x:   make([]symptom, c.NumQubits),
+		z:   make([]symptom, c.NumQubits),
+		rec: make([]symptom, c.NumMeas),
 	}
-	ex.measBefore = make([]int, len(c.Instructions)+1)
-	for i, in := range c.Instructions {
-		ex.measBefore[i+1] = ex.measBefore[i]
+	for i := range c.Instructions {
+		in := &c.Instructions[i]
 		switch in.Op {
-		case circuit.OpM, circuit.OpMX:
-			ex.measBefore[i+1] += len(in.Targets)
 		case circuit.OpDetector:
 			for _, r := range in.Recs {
-				ex.measToDet[r] = append(ex.measToDet[r], in.Index)
+				sw.rec[r] = sw.rec[r].xor(symptom{dets: []int{in.Index}})
 			}
 		case circuit.OpObservable:
 			for _, r := range in.Recs {
-				ex.measToObs[r] ^= 1 << uint(in.Index)
+				sw.rec[r].obs ^= 1 << uint(in.Index)
 			}
 		}
 	}
-	return ex
-}
 
-func (ex *extractor) run() (*Model, error) {
-	for idx, in := range ex.c.Instructions {
-		switch in.Op {
-		case circuit.OpXError:
-			for _, q := range in.Targets {
-				if err := ex.addPauli(idx, pauliBits{q: bitX}, in.Arg); err != nil {
-					return nil, err
-				}
-			}
-		case circuit.OpZError:
-			for _, q := range in.Targets {
-				if err := ex.addPauli(idx, pauliBits{q: bitZ}, in.Arg); err != nil {
-					return nil, err
-				}
-			}
-		case circuit.OpYError:
-			for _, q := range in.Targets {
-				if err := ex.addPauli(idx, pauliBits{q: bitX | bitZ}, in.Arg); err != nil {
-					return nil, err
-				}
-			}
-		case circuit.OpDepolarize1:
-			for _, q := range in.Targets {
-				p := in.Arg / 3
-				for _, pb := range []uint8{bitX, bitX | bitZ, bitZ} {
-					if err := ex.addPauli(idx, pauliBits{q: pb}, p); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case circuit.OpDepolarize2:
-			for i := 0; i < len(in.Targets); i += 2 {
-				a, b := in.Targets[i], in.Targets[i+1]
-				p := in.Arg / 15
-				for k := 1; k < 16; k++ {
-					pa, pb := uint8(k&3), uint8(k>>2)
-					f := pauliBits{}
-					if pa != 0 {
-						f[a] = pa
-					}
-					if pb != 0 {
-						f[b] = pb
-					}
-					if err := ex.addPauli(idx, f, p); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case circuit.OpReset:
-			if in.Arg > 0 {
-				for _, q := range in.Targets {
-					if err := ex.addPauli(idx, pauliBits{q: bitX}, in.Arg); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case circuit.OpResetX:
-			if in.Arg > 0 {
-				for _, q := range in.Targets {
-					if err := ex.addPauli(idx, pauliBits{q: bitZ}, in.Arg); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case circuit.OpM, circuit.OpMX:
-			if in.Arg > 0 {
-				rec := ex.measIndexAt(idx)
-				for j := range in.Targets {
-					if err := ex.addMeasFlip(rec+j, in.Arg); err != nil {
-						return nil, err
-					}
-				}
-			}
+	// Sweep backward, collecting each instruction's terms in forward target
+	// order; starts[k] is where the k-th instruction visited (counting from
+	// the end of the circuit) begins in sw.terms.
+	var (
+		starts   = make([]int, 0, len(c.Instructions))
+		firstErr error
+		rec      = c.NumMeas
+	)
+	for i := len(c.Instructions) - 1; i >= 0; i-- {
+		in := &c.Instructions[i]
+		starts = append(starts, len(sw.terms))
+		if err := sw.noise(i, in, rec); err != nil {
+			firstErr = err
 		}
+		rec = sw.unapply(in, rec)
 	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+
+	// Merge in forward instruction order, so every probability is folded in
+	// the same sequence as the circuit's noise channels.
 	m := &Model{
-		NumDetectors:   ex.c.NumDetectors,
-		NumObs:         ex.c.NumObs,
-		NumRounds:      ex.c.NumRounds,
-		DetectorRounds: ex.c.DetectorRounds(),
-		DetectorQubits: ex.c.DetectorQubits(),
+		NumDetectors:   c.NumDetectors,
+		NumObs:         c.NumObs,
+		NumRounds:      c.NumRounds,
+		DetectorRounds: c.DetectorRounds(),
+		DetectorQubits: c.DetectorQubits(),
 	}
-	for _, k := range ex.order {
-		mech := ex.merged[k]
+	merged := make(map[key]int)
+	end := len(sw.terms)
+	for k := len(starts) - 1; k >= 0; k-- {
+		for _, t := range sw.terms[starts[k]:end] {
+			if idx, ok := merged[t.k]; ok {
+				mech := &m.Mechanisms[idx]
+				mech.P = mech.P*(1-t.p) + t.p*(1-mech.P)
+				continue
+			}
+			merged[t.k] = len(m.Mechanisms)
+			m.Mechanisms = append(m.Mechanisms, Mechanism{
+				Detectors: append([]int(nil), t.k.d[:t.k.n]...), ObsMask: t.k.obs, P: t.p,
+			})
+		}
+		end = starts[k]
+	}
+	kept := m.Mechanisms[:0]
+	for _, mech := range m.Mechanisms {
 		if mech.P > 0 {
-			m.Mechanisms = append(m.Mechanisms, *mech)
+			kept = append(kept, mech)
 		}
 	}
+	m.Mechanisms = kept
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// measIndexAt returns the measurement record index of the first target of
-// the instruction at position idx (i.e. records produced before it).
-func (ex *extractor) measIndexAt(idx int) int { return ex.measBefore[idx] }
+// sweep is the backward pass's state: x[q] and z[q] are the symptoms of an
+// X and a Z error on qubit q at the current point of the walk, rec[r] the
+// symptom of flipping measurement record bit r.
+type sweep struct {
+	x, z  []symptom
+	rec   []symptom
+	terms []term
+}
 
-// addPauli propagates the elementary Pauli error f occurring immediately
-// after instruction idx, and records the resulting mechanism (decomposing
-// into X and Z parts when the full symptom is non-graph-like).
-func (ex *extractor) addPauli(idx int, f pauliBits, p float64) error {
+// noise records the elementary errors of instruction i, which occur
+// immediately after it; rec is the number of record bits produced up to
+// and including instruction i.
+func (sw *sweep) noise(i int, in *circuit.Instruction, rec int) error {
+	switch in.Op {
+	case circuit.OpXError, circuit.OpZError, circuit.OpYError, circuit.OpReset, circuit.OpResetX:
+		for _, q := range in.Targets {
+			if err := sw.pauli(i, q, flips[in.Op], 0, 0, in.Arg); err != nil {
+				return err
+			}
+		}
+	case circuit.OpDepolarize1:
+		for _, q := range in.Targets {
+			for _, pb := range [3]uint8{bitX, bitX | bitZ, bitZ} {
+				if err := sw.pauli(i, q, pb, 0, 0, in.Arg/3); err != nil {
+					return err
+				}
+			}
+		}
+	case circuit.OpDepolarize2:
+		for j := 0; j < len(in.Targets); j += 2 {
+			for k := 1; k < 16; k++ {
+				if err := sw.pauli(i, in.Targets[j], uint8(k&3), in.Targets[j+1], uint8(k>>2), in.Arg/15); err != nil {
+					return err
+				}
+			}
+		}
+	case circuit.OpM, circuit.OpMX:
+		if in.Arg <= 0 {
+			return nil
+		}
+		for r := rec - len(in.Targets); r < rec; r++ {
+			if s := sw.rec[r]; len(s.dets) > 2 {
+				return fmt.Errorf("dem: measurement record %d appears in %d detectors", r, len(s.dets))
+			}
+			sw.record(sw.rec[r], in.Arg)
+		}
+	}
+	return nil
+}
+
+// pauli records the error applying Pauli pa to qubit a and pb to qubit b
+// (pb = 0 for a single-qubit error, b then unused), decomposing it into
+// its X and Z parts when its full symptom is non-graph-like, and a part
+// further into its two qubits' shares when that part alone is still
+// non-graph-like, qubit a first.
+func (sw *sweep) pauli(i, a int, pa uint8, b int, pb uint8, p float64) error {
 	if p <= 0 {
 		return nil
 	}
-	dets, obs := ex.propagate(idx, f)
-	if len(dets) <= 2 {
-		ex.merge(dets, obs, p)
+	var (
+		shares [2][2]symptom // [X part, Z part][qubit a, qubit b]
+		parts  [2]symptom
+	)
+	for s, per := range [2][]symptom{sw.x, sw.z} {
+		bit := [2]uint8{bitX, bitZ}[s]
+		if pa&bit != 0 {
+			shares[s][0] = per[a]
+		}
+		if pb&bit != 0 {
+			shares[s][1] = per[b]
+		}
+		parts[s] = shares[s][0].xor(shares[s][1])
+	}
+	if full := parts[0].xor(parts[1]); len(full.dets) <= 2 {
+		sw.record(full, p)
 		return nil
 	}
-	// Decompose into X and Z components; frame propagation is linear so the
-	// two partial symptoms XOR to the full one.
-	xPart, zPart := pauliBits{}, pauliBits{}
-	for q, pb := range f {
-		if pb&bitX != 0 {
-			xPart[q] = bitX
-		}
-		if pb&bitZ != 0 {
-			zPart[q] = bitZ
-		}
-	}
-	for _, part := range []pauliBits{xPart, zPart} {
-		if len(part) == 0 {
+	for s, bit := range [2]uint8{bitX, bitZ} {
+		onA, onB := pa&bit != 0, pb&bit != 0
+		switch {
+		case !onA && !onB:
+			continue
+		case len(parts[s].dets) <= 2:
+			sw.record(parts[s], p)
+			continue
+		case onA && onB && len(shares[s][0].dets) <= 2 && len(shares[s][1].dets) <= 2:
+			sw.record(shares[s][0], p)
+			sw.record(shares[s][1], p)
 			continue
 		}
-		d, o := ex.propagate(idx, part)
-		if len(d) > 2 {
-			// Final fallback: per-qubit elementary split.
-			if len(part) > 1 {
-				ok := true
-				for q, pb := range part {
-					dd, oo := ex.propagate(idx, pauliBits{q: pb})
-					if len(dd) > 2 {
-						ok = false
-						break
-					}
-					ex.merge(dd, oo, p)
-				}
-				if ok {
-					continue
-				}
-			}
-			return fmt.Errorf("dem: non-graph-like mechanism at instruction %d (%d detectors)", idx, len(d))
-		}
-		ex.merge(d, o, p)
+		return fmt.Errorf("dem: non-graph-like mechanism at instruction %d (%d detectors)", i, len(parts[s].dets))
 	}
 	return nil
 }
 
-// addMeasFlip records the mechanism of a classical readout flip of record r.
-func (ex *extractor) addMeasFlip(r int, p float64) error {
-	dets := append([]int(nil), ex.measToDet[r]...)
-	sort.Ints(dets)
-	dets = dedupXor(dets)
-	if len(dets) > 2 {
-		return fmt.Errorf("dem: measurement record %d appears in %d detectors", r, len(dets))
-	}
-	ex.merge(dets, ex.measToObs[r], p)
-	return nil
-}
-
-// propagate walks the circuit from instruction idx+1 with initial frame f
-// and returns the flipped detectors (sorted, XOR-reduced) and observables.
-func (ex *extractor) propagate(idx int, f pauliBits) ([]int, uint64) {
-	frame := pauliBits{}
-	for q, pb := range f {
-		frame[q] = pb
-	}
-	var flippedRecs []int
-	meas := ex.measIndexAt(idx)
-	// Account for measurements inside instruction idx itself: an error
-	// "after" a measurement instruction cannot affect its own outcomes.
-	if in := ex.c.Instructions[idx]; in.Op == circuit.OpM || in.Op == circuit.OpMX {
-		meas += len(in.Targets)
-	}
-	for i := idx + 1; i < len(ex.c.Instructions); i++ {
-		in := ex.c.Instructions[i]
-		switch in.Op {
-		case circuit.OpH:
-			for _, q := range in.Targets {
-				if pb, ok := frame[q]; ok {
-					frame[q] = (pb&bitX)>>1 | (pb&bitZ)<<1
-				}
-			}
-		case circuit.OpS:
-			for _, q := range in.Targets {
-				if pb, ok := frame[q]; ok && pb&bitX != 0 {
-					frame[q] = pb ^ bitZ
-					if frame[q] == 0 {
-						delete(frame, q)
-					}
-				}
-			}
-		case circuit.OpCX:
-			for j := 0; j < len(in.Targets); j += 2 {
-				c, t := in.Targets[j], in.Targets[j+1]
-				if frame[c]&bitX != 0 {
-					toggle(frame, t, bitX)
-				}
-				if frame[t]&bitZ != 0 {
-					toggle(frame, c, bitZ)
-				}
-			}
-		case circuit.OpCZ:
-			for j := 0; j < len(in.Targets); j += 2 {
-				a, b := in.Targets[j], in.Targets[j+1]
-				if frame[a]&bitX != 0 {
-					toggle(frame, b, bitZ)
-				}
-				if frame[b]&bitX != 0 {
-					toggle(frame, a, bitZ)
-				}
-			}
-		case circuit.OpSwap:
-			for j := 0; j < len(in.Targets); j += 2 {
-				a, b := in.Targets[j], in.Targets[j+1]
-				fa, fb := frame[a], frame[b]
-				setOrDelete(frame, a, fb)
-				setOrDelete(frame, b, fa)
-			}
-		case circuit.OpReset, circuit.OpResetX:
-			for _, q := range in.Targets {
-				delete(frame, q)
-			}
-		case circuit.OpM:
-			for _, q := range in.Targets {
-				if frame[q]&bitX != 0 {
-					flippedRecs = append(flippedRecs, meas)
-				}
-				// Z component is destroyed by the collapse.
-				if pb, ok := frame[q]; ok {
-					setOrDelete(frame, q, pb&bitX)
-				}
-				meas++
-			}
-		case circuit.OpMX:
-			for _, q := range in.Targets {
-				if frame[q]&bitZ != 0 {
-					flippedRecs = append(flippedRecs, meas)
-				}
-				if pb, ok := frame[q]; ok {
-					setOrDelete(frame, q, pb&bitZ)
-				}
-				meas++
-			}
-		}
-		if len(frame) == 0 {
-			// The frame has been absorbed; no further records can flip.
-			break
-		}
-	}
-	var dets []int
-	var obs uint64
-	for _, r := range flippedRecs {
-		dets = append(dets, ex.measToDet[r]...)
-		obs ^= ex.measToObs[r]
-	}
-	sort.Ints(dets)
-	return dedupXor(dets), obs
-}
-
-func toggle(frame pauliBits, q int, bit uint8) {
-	pb := frame[q] ^ bit
-	setOrDelete(frame, q, pb)
-}
-
-func setOrDelete(frame pauliBits, q int, pb uint8) {
-	if pb == 0 {
-		delete(frame, q)
-	} else {
-		frame[q] = pb
-	}
-}
-
-// dedupXor removes pairs of equal values from a sorted slice (XOR
-// semantics: a detector flipped twice is not flipped).
-func dedupXor(sorted []int) []int {
-	out := sorted[:0]
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		if (j-i)%2 == 1 {
-			out = append(out, sorted[i])
-		}
-		i = j
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return append([]int(nil), out...)
-}
-
-// merge folds a mechanism into the accumulator, combining probabilities of
-// identical symptoms as independent sources: p ← p₁(1−p₂) + p₂(1−p₁).
-func (ex *extractor) merge(dets []int, obs uint64, p float64) {
-	if len(dets) == 0 && obs == 0 {
-		return // invisible error: no detectors, no logical effect
-	}
-	key := fmt.Sprint(dets, obs)
-	if m, ok := ex.merged[key]; ok {
-		m.P = m.P*(1-p) + p*(1-m.P)
+// record queues a graph-like symptom for merging; invisible errors (no
+// detectors, no logical effect) are dropped.
+func (sw *sweep) record(s symptom, p float64) {
+	if len(s.dets) == 0 && s.obs == 0 {
 		return
 	}
-	ex.merged[key] = &Mechanism{Detectors: append([]int(nil), dets...), ObsMask: obs, P: p}
-	ex.order = append(ex.order, key)
+	k := key{n: len(s.dets), obs: s.obs}
+	copy(k.d[:], s.dets)
+	sw.terms = append(sw.terms, term{k, p})
+}
+
+// unapply maps the per-qubit symptoms from just after in to just before
+// it, walking pairs and measurement targets in reverse, and returns the
+// number of record bits produced before in.
+func (sw *sweep) unapply(in *circuit.Instruction, rec int) int {
+	x, z, t := sw.x, sw.z, in.Targets
+	switch in.Op {
+	case circuit.OpH:
+		for _, q := range t {
+			x[q], z[q] = z[q], x[q]
+		}
+	case circuit.OpS:
+		for _, q := range t {
+			x[q] = x[q].xor(z[q])
+		}
+	case circuit.OpCX:
+		for j := len(t) - 2; j >= 0; j -= 2 {
+			c, tg := t[j], t[j+1]
+			x[c] = x[c].xor(x[tg])
+			z[tg] = z[tg].xor(z[c])
+		}
+	case circuit.OpCZ:
+		for j := len(t) - 2; j >= 0; j -= 2 {
+			a, b := t[j], t[j+1]
+			x[a] = x[a].xor(z[b])
+			x[b] = x[b].xor(z[a])
+		}
+	case circuit.OpSwap:
+		for j := len(t) - 2; j >= 0; j -= 2 {
+			a, b := t[j], t[j+1]
+			x[a], x[b] = x[b], x[a]
+			z[a], z[b] = z[b], z[a]
+		}
+	case circuit.OpReset, circuit.OpResetX:
+		for _, q := range t {
+			x[q], z[q] = symptom{}, symptom{}
+		}
+	case circuit.OpM:
+		for j := len(t) - 1; j >= 0; j-- {
+			rec--
+			x[t[j]], z[t[j]] = x[t[j]].xor(sw.rec[rec]), symptom{}
+		}
+	case circuit.OpMX:
+		for j := len(t) - 1; j >= 0; j-- {
+			rec--
+			x[t[j]], z[t[j]] = symptom{}, z[t[j]].xor(sw.rec[rec])
+		}
+	}
+	return rec
 }

@@ -3,6 +3,7 @@ package dem
 import (
 	"caliqec/internal/circuit"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -174,6 +175,122 @@ func TestYErrorDecomposesWhenNonGraphlike(t *testing.T) {
 	for _, mech := range m.Mechanisms {
 		if len(mech.Detectors) > 2 {
 			t.Fatalf("Y decomposition failed: %v", mech)
+		}
+	}
+}
+
+// mergeN folds n independent sources of probability p with the merge rule.
+func mergeN(p float64, n int) float64 {
+	acc := p
+	for i := 1; i < n; i++ {
+		acc = acc*(1-p) + p*(1-acc)
+	}
+	return acc
+}
+
+// TestDepolarize2PerQubitFallback: each qubit's X error flips its own pair
+// of detectors, so the XX part of a DEPOLARIZE2 term flips four and is
+// non-graph-like while each qubit's part is graph-like. The extractor must
+// fall back to per-qubit mechanisms, qubit a before qubit b, and produce
+// the same model on every extraction.
+func TestDepolarize2PerQubitFallback(t *testing.T) {
+	b := circuit.NewBuilder(2)
+	b.Reset(0, 0, 1)
+	b.Depolarize2(0.15, 0, 1)
+	r := b.M(0, 0, 1)
+	b.Detector(r[0])
+	b.Detector(r[0])
+	b.Detector(r[1])
+	b.Detector(r[1])
+	c := b.Build()
+	m, err := FromCircuit(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Of the 15 terms, the 8 with an X or Y on qubit 0 flip {D0,D1} —
+	// directly or through the fallback — and likewise for qubit 1; Z parts
+	// are invisible to Z measurements.
+	p := mergeN(0.15/15, 8)
+	want := []Mechanism{
+		{Detectors: []int{0, 1}, P: p},
+		{Detectors: []int{2, 3}, P: p},
+	}
+	if !reflect.DeepEqual(m.Mechanisms, want) {
+		t.Fatalf("mechanisms %v, want %v", m.Mechanisms, want)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := FromCircuit(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("extraction %d differs: %v vs %v", i, again.Mechanisms, m.Mechanisms)
+		}
+	}
+}
+
+// TestNonGraphLikeError: a single X error flipping three detectors cannot be
+// decomposed further and must be reported at its instruction.
+func TestNonGraphLikeError(t *testing.T) {
+	b := circuit.NewBuilder(2)
+	b.Reset(0, 0, 1)
+	b.XError(0.1, 0) // instruction 1
+	b.CX(0, 1)
+	r := b.M(0, 0, 1)
+	b.Detector(r[0])
+	b.Detector(r[0])
+	b.Detector(r[1])
+	_, err := FromCircuit(b.Build())
+	if err == nil || err.Error() != "dem: non-graph-like mechanism at instruction 1 (3 detectors)" {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestMeasurementInThreeDetectors: a noisy readout whose record bit feeds
+// three detectors is non-graph-like and must be reported by record.
+func TestMeasurementInThreeDetectors(t *testing.T) {
+	b := circuit.NewBuilder(1)
+	b.Reset(0, 0)
+	r := b.M(0.1, 0)
+	b.Detector(r[0])
+	b.Detector(r[0])
+	b.Detector(r[0])
+	_, err := FromCircuit(b.Build())
+	if err == nil || err.Error() != "dem: measurement record 0 appears in 3 detectors" {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestFirstErrorWins: with two non-graph-like instructions, the error named
+// is the one earliest in the circuit, whichever kind it is.
+func TestFirstErrorWins(t *testing.T) {
+	build := func(readoutFirst bool) *circuit.Circuit {
+		b := circuit.NewBuilder(2)
+		b.Reset(0, 0, 1)
+		var r0 []int
+		if readoutFirst {
+			r0 = b.M(0.1, 0) // instruction 1
+			b.XError(0.1, 1) // instruction 2
+		} else {
+			b.XError(0.1, 1) // instruction 1
+			r0 = b.M(0.1, 0) // instruction 2
+		}
+		r1 := b.M(0, 1)
+		for i := 0; i < 3; i++ {
+			b.Detector(r0[0], r1[0])
+		}
+		return b.Build()
+	}
+	for _, tc := range []struct {
+		readoutFirst bool
+		want         string
+	}{
+		{true, "dem: measurement record 0 appears in 3 detectors"},
+		{false, "dem: non-graph-like mechanism at instruction 1 (3 detectors)"},
+	} {
+		_, err := FromCircuit(build(tc.readoutFirst))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("readoutFirst=%v: err = %v, want %q", tc.readoutFirst, err, tc.want)
 		}
 	}
 }

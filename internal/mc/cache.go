@@ -88,14 +88,13 @@ func fingerprintOf(c *circuit.Circuit) fingerprint {
 	return fp
 }
 
-// cacheEntry holds everything derivable from one prior circuit: its DEM,
-// the decoding graph, a pool of reusable decoder instances per kind
-// (decoders carry scratch state, so one instance serves one worker at a
-// time; pooling avoids rebuilding their adjacency scans every chunk), and a
-// free list of frame simulators (a simulator's compiled program and frame
-// storage are reusable across chunks after a Reset).
+// cacheEntry holds everything derivable from one prior circuit: the
+// decoding graph built from its DEM, a pool of reusable decoder instances
+// per kind (decoders carry scratch state, so one instance serves one worker
+// at a time; pooling avoids rebuilding their adjacency scans every chunk),
+// and a free list of frame simulators (a simulator's compiled program and
+// frame storage are reusable across chunks after a Reset).
 type cacheEntry struct {
-	model *dem.Model
 	graph *decoder.Graph
 	pools [2]sync.Pool // indexed by decoder.DecoderKind
 
@@ -112,7 +111,7 @@ func newCacheEntry(prior *circuit.Circuit) (*cacheEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mc: building graph: %w", err)
 	}
-	ent := &cacheEntry{model: model, graph: g}
+	ent := &cacheEntry{graph: g}
 	for kind := range ent.pools {
 		k := decoder.DecoderKind(kind)
 		ent.pools[kind].New = func() interface{} { return decoder.New(k, g) }
@@ -171,12 +170,7 @@ func (ent *cacheEntry) putSim(fs *sim.FrameSimulator) {
 // entryFor returns the cached DEM+graph for prior, building and inserting
 // it on a miss (LRU eviction beyond the configured size).
 func (e *Engine) entryFor(prior *circuit.Circuit) (*cacheEntry, error) {
-	return e.entryForFP(fingerprintOf(prior), prior)
-}
-
-// entryForFP is entryFor with the fingerprint already computed, so callers
-// that needed it anyway (batch dedup) do not hash twice.
-func (e *Engine) entryForFP(fp fingerprint, prior *circuit.Circuit) (*cacheEntry, error) {
+	fp := fingerprintOf(prior)
 	e.mu.Lock()
 	if ent, ok := e.cache[fp]; ok {
 		e.hits++
@@ -188,7 +182,7 @@ func (e *Engine) entryForFP(fp fingerprint, prior *circuit.Circuit) (*cacheEntry
 	e.mu.Unlock()
 
 	// Built outside the lock: concurrent misses on the same circuit may
-	// build twice, but the last insert wins and both results are valid.
+	// build twice, but the first insert wins and every caller gets it.
 	ent, err := newCacheEntry(prior)
 	if err != nil {
 		return nil, err

@@ -370,8 +370,7 @@ func (e *Engine) Evaluate(ctx context.Context, spec Spec) (Result, error) {
 // single worker pool (sized at the maximum of the specs' Workers settings)
 // claims chunk spans from all specs in rotation, so short specs do not
 // serialize behind long ones and the pool never idles while any spec has
-// work. Cache entries for distinct priors are built concurrently before
-// sampling starts.
+// work. Cache entries are resolved in spec order before sampling starts.
 //
 // Each spec keeps its own seeding, committed-prefix accounting, early
 // stopping and progress callback; spec i's result is bit-identical to
@@ -438,57 +437,17 @@ func (e *Engine) EvaluateBatch(ctx context.Context, specs []Spec) ([]Result, err
 	return results, nil
 }
 
-// buildEntries resolves the cache entry of every state, building distinct
-// priors concurrently: on a cold sweep over D distinct circuits the DEM
-// extractions and graph constructions — the dominant cold-start cost —
-// overlap instead of serializing.
+// buildEntries resolves the cache entry of every state, serially in spec
+// order. DEM extraction is one backward sweep, so a cold build is cheap
+// next to sampling, and resolving entries inline keeps the goroutine count
+// independent of batch size.
 func (e *Engine) buildEntries(states []*evalState) error {
-	type build struct {
-		fp  fingerprint
-		st  *evalState // representative state carrying the prior
-		ent *cacheEntry
-		err error
-	}
-	var (
-		uniq  []*build
-		byFP  = make(map[fingerprint]*build)
-		index = make([]*build, len(states))
-	)
-	for i, st := range states {
-		fp := fingerprintOf(st.prior)
-		b, ok := byFP[fp]
-		if !ok {
-			b = &build{fp: fp, st: st}
-			byFP[fp] = b
-			uniq = append(uniq, b)
-		}
-		index[i] = b
-	}
-	if len(uniq) == 1 {
-		ent, err := e.entryForFP(uniq[0].fp, uniq[0].st.prior)
+	for _, st := range states {
+		ent, err := e.entryFor(st.prior)
 		if err != nil {
 			return err
 		}
-		uniq[0].ent = ent
-	} else {
-		var wg sync.WaitGroup
-		for _, b := range uniq {
-			b := b
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				b.ent, b.err = e.entryForFP(b.fp, b.st.prior)
-			}()
-		}
-		wg.Wait()
-		for _, b := range uniq {
-			if b.err != nil {
-				return b.err
-			}
-		}
-	}
-	for i, st := range states {
-		st.ent = index[i].ent
+		st.ent = ent
 	}
 	return nil
 }
