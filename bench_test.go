@@ -72,7 +72,9 @@ func BenchmarkLocalizeDrift(b *testing.B)  { benchExperiment(b, "localize") }
 func BenchmarkDecodeCost(b *testing.B)     { benchExperiment(b, "decode-cost") }
 
 // BenchmarkTable2Row times a single Table 2 cell (Hubbard-10-10, d=25,
-// CaliQEC) for finer-grained regression tracking.
+// CaliQEC) for finer-grained regression tracking. scripts/bench_mc.sh
+// records it as table2_row_ns and gates its speedup over the per-step
+// math.Pow simulator.
 func BenchmarkTable2Row(b *testing.B) {
 	cfg := runtime.Config{Prog: workload.Hubbard(10, 10), D: 25, RetryTarget: 0.01, Seed: 7}
 	b.ResetTimer()

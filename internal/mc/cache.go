@@ -58,15 +58,18 @@ func Fingerprint(c *circuit.Circuit) [16]byte {
 // pool already relies on pointer identity meaning "same compiled program"),
 // so a pointer seen before hashes to the same fingerprint — which turns the
 // per-Evaluate rehash of a warm sweep's unchanged prior (a measurable
-// fraction of warm evaluation time) into one map lookup. Bounded: at
-// fpMemoMax entries the map is dropped wholesale, which also releases the
-// circuit pointers it keeps alive.
+// fraction of warm evaluation time) into one map lookup. Bounded to a
+// batch's working set: at fpMemoMax entries the map is dropped wholesale,
+// which also releases the circuit pointers it keeps alive, so a stream of
+// fresh circuits (every in-situ deformation is one) holds at most
+// fpMemoMax of them. A dropped entry costs one rehash, small against the
+// sampling of the Evaluate that asks for it.
 var fpMemo struct {
 	sync.Mutex
 	m map[*circuit.Circuit]fingerprint
 }
 
-const fpMemoMax = 1024
+const fpMemoMax = 64
 
 // fingerprintOf is Fingerprint memoized by pointer identity.
 func fingerprintOf(c *circuit.Circuit) fingerprint {
@@ -81,7 +84,7 @@ func fingerprintOf(c *circuit.Circuit) fingerprint {
 	fp := Fingerprint(c)
 	fpMemo.Lock()
 	if fpMemo.m == nil || len(fpMemo.m) >= fpMemoMax {
-		fpMemo.m = make(map[*circuit.Circuit]fingerprint, 64)
+		fpMemo.m = make(map[*circuit.Circuit]fingerprint, fpMemoMax)
 	}
 	fpMemo.m[c] = fp
 	fpMemo.Unlock()

@@ -18,6 +18,17 @@
 // multiplies the worst path's weight by p/p_tar — this reproduces the
 // paper's Fig. 13 observation that one drifted gate inflates LER far more
 // than the average-rate shift suggests.
+//
+// The simulation steps in closed form. Drift is p₀·10^(t/T_drift) and
+// Eq. (4) is α(p/p_th)^((d+1)/2), so over one fixed step of h hours a gate's
+// rate grows by the constant factor 10^(h/T_drift) and its LER by that
+// factor to the (d+1)/2. Each gate carries both factors from sampling time
+// and advances by two multiplies a step. Its rate and LER are evaluated
+// from the elapsed time only on the first step after a calibration, which
+// re-anchors them: that step may fall a fraction of h after an off-grid
+// calibration, and a calibration still pending at a step leaves the gate
+// at p₀ until the next. Per-gate math.Pow calls therefore grow with calibrations,
+// not with gates × steps.
 package runtime
 
 import (
@@ -237,6 +248,15 @@ type gateState struct {
 	// driven by the worst-case tail; the bulk is represented by a smaller
 	// weighted sample.
 	weight float64
+	// p and lg are the gate's error rate and Eq. (4) LER at the current
+	// step, before clamping. Each step after the one that anchors them
+	// multiplies them by rp = 10^(h/T_drift) and rl = rp^((d+1)/2), h
+	// being the step.
+	p, lg  float64
+	rp, rl float64
+	// anchored is false from a calibration (and before the first step)
+	// until accumulate has set p and lg exactly from the time since it.
+	anchored bool
 }
 
 // tailExact is how many of a patch's fastest-drifting gates are drawn
@@ -253,6 +273,11 @@ type simulator struct {
 	nGates     int
 	gateScale  float64
 	patchScale float64
+
+	// lerExp is Eq. (4)'s exponent (d+1)/2; lgCap bounds one gate's LER:
+	// the hotSaturation cap, and Eq. (4) at p = 1 (Drift.At's clamp).
+	lerExp float64
+	lgCap  float64
 
 	// risk accounting
 	volPerStep float64 // spacetime volume attributed to one (patch, step) sample
@@ -273,11 +298,20 @@ func newSimulator(cfg *Config, r *rng.RNG, horizon, pTar float64) *simulator {
 	}
 	steps := math.Ceil(horizon / cfg.StepHours)
 	vol := cfg.Prog.LogicalOps() * float64(cfg.D)
+	lgCap := 1.0
+	if pTar > 0 {
+		lgCap = hotSaturation * cfg.LERModel.PerCycle(cfg.D, pTar)
+	}
+	if l1 := cfg.LERModel.PerCycle(cfg.D, 1); l1 < lgCap {
+		lgCap = l1
+	}
 	return &simulator{
 		cfg: cfg, r: r, horizon: horizon, pTar: pTar,
 		nPatches: nPatches, nGates: nGates,
 		gateScale:  float64(cfg.GatesPerPatch) / float64(nGates),
 		patchScale: float64(cfg.Prog.LogicalQubits) / float64(nPatches),
+		lerExp:     float64(cfg.D+1) / 2,
+		lgCap:      lgCap,
 		volPerStep: vol / (float64(nPatches) * steps),
 	}
 }
@@ -287,9 +321,17 @@ type policy interface {
 	// init is called once per patch after its gates are sampled; ctx
 	// carries the optional obs tracer for calibration-group spans.
 	init(ctx context.Context, s *simulator, gates []gateState)
-	// step may calibrate gates (set gates[i].last, increment s.cals) at
-	// time t.
+	// step may calibrate gates at time t through s.calibrate.
 	step(s *simulator, gates []gateState, t float64)
+}
+
+// calibrate records a calibration of g at time t: its drift restarts from
+// p₀ there, the calibration volume grows by the gate's weight, and the next
+// accumulate re-anchors the gate's p and LER.
+func (s *simulator) calibrate(g *gateState, t float64) {
+	g.last = t
+	g.anchored = false
+	s.cals += g.weight
 }
 
 func (s *simulator) run(ctx context.Context, pol policy) error {
@@ -299,8 +341,8 @@ func (s *simulator) run(ctx context.Context, pol policy) error {
 	if tail > full/2 || tail > s.nGates/2 {
 		tail = 0 // small patches: plain sampling suffices
 	}
+	gates := make([]gateState, s.nGates) // every patch overwrites it whole
 	for p := 0; p < s.nPatches; p++ {
-		gates := make([]gateState, s.nGates)
 		for i := range gates {
 			var td, w float64
 			if i < tail {
@@ -313,9 +355,10 @@ func (s *simulator) run(ctx context.Context, pol policy) error {
 				td = rng.LogNormInv(clampP(s.r.Float64()), mu, sigma)
 				w = float64(full-tail) / float64(s.nGates-tail)
 			}
-			gates[i].drift = noise.Drift{P0: noise.InitialErrorRate, TDrift: td}
-			gates[i].deadline = gates[i].drift.TimeToReach(s.pTar)
-			gates[i].weight = w
+			drift := noise.Drift{P0: noise.InitialErrorRate, TDrift: td}
+			rp := math.Pow(10, s.cfg.StepHours/td)
+			gates[i] = gateState{drift: drift, deadline: drift.TimeToReach(s.pTar), weight: w,
+				rp: rp, rl: math.Pow(rp, s.lerExp)}
 		}
 		if s.pTar == 0 { //lint:allow floateq pTar is exactly 0 only for the no-calibration strategy, an exact sentinel
 			for i := range gates {
@@ -334,16 +377,6 @@ func (s *simulator) run(ctx context.Context, pol policy) error {
 	return nil
 }
 
-// accumulate folds the patch's instantaneous LER into the risk integral.
-// Following the paper's evaluation methodology, the patch LER is the
-// per-gate average of Eq. (4) — each gate contributes LER(d, p_g) in
-// proportion to its share of the patch — rather than Eq. (4) at the average
-// rate. Because the LER is steeply convex in p (exponent (d+1)/2), this
-// per-gate accounting is dominated by the gates closest to (or beyond)
-// p_tar: a single gate left drifting past the target under coarse-grained
-// calibration multiplies the patch LER by (p_g/p_tar)^((d+1)/2), which is
-// exactly the Fig. 13 sensitivity and the §8.1 separation between LSC and
-// CaliQEC.
 // hotSaturation bounds how far a single runaway gate can multiply its share
 // of the patch LER beyond the at-target value: once a gate's local failure
 // probability saturates its neighbourhood, further drift adds nothing. The
@@ -351,25 +384,41 @@ func (s *simulator) run(ctx context.Context, pol policy) error {
 // (e.g. Hubbard-10-10 d=25: ~11%).
 const hotSaturation = 1e3
 
+// accumulate folds the patch's instantaneous LER at time t into the risk
+// integral. Following the paper's evaluation methodology, the patch LER is
+// the per-gate average of Eq. (4) — each gate contributes LER(d, p_g) in
+// proportion to its share of the patch — rather than Eq. (4) at the average
+// rate. Because the LER is steeply convex in p (exponent (d+1)/2), this
+// per-gate accounting is dominated by the gates closest to (or beyond)
+// p_tar: a single gate left drifting past the target under coarse-grained
+// calibration multiplies the patch LER by (p_g/p_tar)^((d+1)/2), which is
+// exactly the Fig. 13 sensitivity and the §8.1 separation between LSC and
+// CaliQEC.
+//
+// Each gate's p and LER advance in closed form (see the package doc), two
+// multiplies a step; anchor evaluates them from the elapsed time on the
+// first step after a calibration. The clamps p ≤ 1, LER ≤ 1 and the
+// saturation cap apply where the values are used.
 func (s *simulator) accumulate(gates []gateState, t float64) {
-	lim := 1.0
-	if s.pTar > 0 {
-		lim = hotSaturation * s.cfg.LERModel.PerCycle(s.cfg.D, s.pTar)
-	}
 	sum, wsum, pm := 0.0, 0.0, 0.0
 	for i := range gates {
-		dt := t - gates[i].last
-		if dt < 0 {
-			dt = 0 // calibration completes later this step
+		g := &gates[i]
+		if g.anchored {
+			g.p *= g.rp
+			g.lg *= g.rl
+		} else {
+			s.anchor(g, t)
 		}
-		p := gates[i].drift.At(dt)
-		lg := s.cfg.LERModel.PerCycle(s.cfg.D, p)
+		p, lg := g.p, g.lg
+		if p > 1 {
+			p = 1
+		}
 		// The saturation bound models a decoder-blind hot spot in an
 		// otherwise working code: local damage is capped.
-		if lg > lim {
-			lg = lim
+		if lg > s.lgCap {
+			lg = s.lgCap
 		}
-		w := gates[i].weight
+		w := g.weight
 		sum += w * lg
 		pm += w * p
 		wsum += w
@@ -387,6 +436,21 @@ func (s *simulator) accumulate(gates []gateState, t float64) {
 	s.logSurvive += s.volPerStep * math.Log1p(-l)
 	s.lerSum += l
 	s.samples++
+}
+
+// anchor sets g's p and LER at time t exactly from the time since its last
+// calibration, as Drift.At and Eq. (4) give them. A calibration still
+// pending at t (LSC's queueing delay ends it later this step) leaves the
+// gate at p₀ and unanchored, so the step after it anchors again.
+func (s *simulator) anchor(g *gateState, t float64) {
+	dt := t - g.last
+	if dt < 0 {
+		dt = 0
+	} else {
+		g.anchored = true
+	}
+	g.p = g.drift.P0 * math.Pow(10, dt/g.drift.TDrift)
+	g.lg = s.cfg.LERModel.Alpha * math.Pow(g.p/s.cfg.LERModel.Pth, s.lerExp)
 }
 
 func (s *simulator) results() (risk, meanLER float64) {
@@ -424,7 +488,7 @@ func newPolicyCaliQEC(pTar float64) *policyCaliQEC { return &policyCaliQEC{pTar:
 
 func (p *policyCaliQEC) init(ctx context.Context, s *simulator, gates []gateState) {
 	p.period = make([]float64, len(gates))
-	var due []sched.GateProfile
+	due := make([]sched.GateProfile, 0, len(gates))
 	for i := range gates {
 		p.period[i] = math.Inf(1)
 		if gates[i].deadline < s.horizon {
@@ -466,8 +530,7 @@ func (p *policyCaliQEC) init(ctx context.Context, s *simulator, gates []gateStat
 func (p *policyCaliQEC) step(s *simulator, gates []gateState, t float64) {
 	for i := range gates {
 		if t-gates[i].last >= p.period[i] {
-			gates[i].last = t
-			s.cals += gates[i].weight
+			s.calibrate(&gates[i], t)
 		}
 	}
 }
@@ -527,8 +590,7 @@ func (p *policyLSC) step(s *simulator, gates []gateState, t float64) {
 	// before the next park.
 	for i := range gates {
 		if gates[i].deadline < s.horizon && tCal+p.period-gates[i].last >= gates[i].deadline {
-			gates[i].last = tCal
-			s.cals += gates[i].weight
+			s.calibrate(&gates[i], tCal)
 		}
 	}
 	p.outageHours += p.cfg.LSCOutageHours + delay

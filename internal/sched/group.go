@@ -61,12 +61,20 @@ func (gr *Grouping) DueGates(n int) []int {
 	return out
 }
 
+// deadlines returns each gate's drift deadline at pTar, in gate order.
+func deadlines(gates []GateProfile, pTar float64) []float64 {
+	ds := make([]float64, len(gates))
+	for i := range gates {
+		ds[i] = gates[i].DeadlineHours(pTar)
+	}
+	return ds
+}
+
 // frequencyFor evaluates Eq. (3) for a candidate base interval: each gate's
 // period is the largest multiple of tCali not exceeding its deadline.
-func frequencyFor(gates []GateProfile, pTar, tCali float64) float64 {
+func frequencyFor(deadlines []float64, tCali float64) float64 {
 	f := 0.0
-	for i := range gates {
-		d := gates[i].DeadlineHours(pTar)
+	for _, d := range deadlines {
 		k := int(math.Floor(d / tCali))
 		if k < 1 {
 			return math.Inf(1) // deadline shorter than the interval: infeasible
@@ -80,14 +88,15 @@ func frequencyFor(gates []GateProfile, pTar, tCali float64) float64 {
 // scans candidate base intervals T_drift[g]/k — values at or just below the
 // minimum deadline, where deadlines align with integer multiples — picks
 // the one minimizing total calibration frequency (preferring larger
-// intervals on ties), and buckets every gate into its group.
+// intervals on ties), and buckets every gate into its group. Each gate's
+// deadline is computed once and reused for every candidate.
 func AssignGroups(gates []GateProfile, pTar float64) (*Grouping, error) {
 	if len(gates) == 0 {
 		return nil, fmt.Errorf("sched: no gates to group")
 	}
+	ds := deadlines(gates, pTar)
 	tMin := math.Inf(1)
-	for i := range gates {
-		d := gates[i].DeadlineHours(pTar)
+	for i, d := range ds {
 		if d <= 0 {
 			return nil, fmt.Errorf("sched: gate %d already beyond p_tar=%g (deadline %.2fh)", gates[i].GateID, pTar, d)
 		}
@@ -98,16 +107,15 @@ func AssignGroups(gates []GateProfile, pTar float64) (*Grouping, error) {
 	// Candidate intervals: tMin itself plus each gate's deadline divided by
 	// the smallest k bringing it to ≤ tMin.
 	cands := []float64{tMin}
-	for i := range gates {
-		d := gates[i].DeadlineHours(pTar)
+	for _, d := range ds {
 		k := math.Ceil(d / tMin)
 		if k >= 1 {
 			cands = append(cands, d/k)
 		}
 	}
-	best, bestF := tMin, frequencyFor(gates, pTar, tMin)
+	best, bestF := tMin, frequencyFor(ds, tMin)
 	for _, c := range cands {
-		f := frequencyFor(gates, pTar, c)
+		f := frequencyFor(ds, c)
 		const eps = 1e-12
 		if f < bestF-eps || (math.Abs(f-bestF) <= eps && c > best) {
 			best, bestF = c, f
@@ -119,11 +127,10 @@ func AssignGroups(gates []GateProfile, pTar float64) (*Grouping, error) {
 	gr := &Grouping{
 		TCaliHours: best,
 		Groups:     map[int][]int{},
-		Period:     map[int]int{},
-		Deadline:   map[int]float64{},
+		Period:     make(map[int]int, len(gates)),
+		Deadline:   make(map[int]float64, len(gates)),
 	}
-	for i := range gates {
-		d := gates[i].DeadlineHours(pTar)
+	for i, d := range ds {
 		k := int(math.Floor(d / best))
 		if k < 1 {
 			k = 1

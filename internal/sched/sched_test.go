@@ -26,7 +26,7 @@ func profilesWithDeadlines(hours ...float64) ([]GateProfile, float64) {
 // T_Cali=4 with 0.66 cal/h.
 func TestFig7Grouping(t *testing.T) {
 	gates, pTar := profilesWithDeadlines(5, 8, 9, 13, 14)
-	naive := frequencyFor(gates, pTar, 5)
+	naive := frequencyFor(deadlines(gates, pTar), 5)
 	if math.Abs(naive-0.80) > 0.01 {
 		t.Errorf("frequency at T_Cali=5h = %.3f, want 0.80 (Fig. 7b)", naive)
 	}
@@ -75,7 +75,7 @@ func TestGroupingRespectsDeadlines(t *testing.T) {
 				tMin = d
 			}
 		}
-		return gr.TotalFrequency() <= frequencyFor(gates, pTar, tMin)+1e-9
+		return gr.TotalFrequency() <= frequencyFor(deadlines(gates, pTar), tMin)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Runs the mc-engine benchmark suite (cached sweep, obs overhead, batched
-# multi-patch sweep, DEM extraction), writes the parsed results to
-# BENCH_mc.json, and enforces five budgets:
+# multi-patch sweep, DEM extraction) plus one analytic Table 2 cell, writes
+# the parsed results to BENCH_mc.json, and enforces six budgets:
 #
 #   - the observability layer may cost the warm cached sweep at most 5%;
 #   - EvaluateBatch must not regress below the equivalent sequential-Evaluate
@@ -23,7 +23,13 @@
 #     ns/op, the median of three 20x runs on a 2-core Xeon);
 #   - cold_speedup: EngineCachedSweep/cold, which pays DEM extraction and
 #     graph construction on every op, must stay at least 3x faster than the
-#     committed forward-extractor value (130,627,034 ns/op, same machine).
+#     committed forward-extractor value (130,627,034 ns/op, same machine);
+#   - table2_row_speedup: BenchmarkTable2Row (one runtime.Run, Hubbard-10-10
+#     d=25 CaliQEC) must stay at least 3x faster than the simulator that
+#     evaluated two math.Pow per gate per step and every Algorithm-1
+#     deadline per candidate (189,548,891 ns/op, the median of three 20x
+#     runs on a 2-core Xeon). runtime.Run is serial, so the floor holds on
+#     every core count.
 #
 # It then runs the stream replay suite into BENCH_stream.json with three
 # guards of its own:
@@ -57,6 +63,11 @@ set -eu
 benchtime="${1:-20x}"
 cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 out="$(go test -run '^$' -bench 'BenchmarkEngineCachedSweep|BenchmarkObsOverhead|BenchmarkEngineBatchSweep|BenchmarkDEMExtraction' -benchtime "$benchtime" -benchmem -count 1 .)"
+# The Table 2 cell runs in a process of its own: the collections its garbage
+# triggers would otherwise empty the engine's pooled decoders during the warm
+# sweeps timed above.
+out="$out
+$(go test -run '^$' -bench 'BenchmarkTable2Row$' -benchtime "$benchtime" -benchmem -count 1 .)"
 echo "$out"
 echo "$out" | awk -v benchtime="$benchtime" -v cores="$cores" '
 /^Benchmark/ {
@@ -156,6 +167,19 @@ END {
         }
     } else {
         printf "FAIL: EngineCachedSweep/cold result missing from benchmark output\n" > "/dev/stderr"
+        fail = 1
+    }
+    row = ns["Table2Row"]
+    if (row > 0) {
+        rsp = 189548891 / row
+        printf ",\n  \"table2_row_ns\": %s", row
+        printf ",\n  \"table2_row_speedup\": %.4f", rsp
+        if (rsp < 3) {
+            printf "FAIL: Table 2 cell %.1fx faster than the per-step math.Pow baseline, below the 3x floor\n", rsp > "/dev/stderr"
+            fail = 1
+        }
+    } else {
+        printf "FAIL: Table2Row result missing from benchmark output\n" > "/dev/stderr"
         fail = 1
     }
     printf "\n}\n"
